@@ -21,7 +21,7 @@ from .algebra import (
     radial_embed,
     radial_exp,
 )
-from .fock import FockSpace, RepLabel, fock_space, gl_action, mu_label, rho_prime_u
+from .fock import FockSpace, fock_space, gl_action
 from .polar import (
     BasisLabel,
     KPerpBasis,

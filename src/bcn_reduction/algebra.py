@@ -262,6 +262,14 @@ def _angles(pt) -> np.ndarray:
     return np.asarray(pt, dtype=float)
 
 
+def _angle_pairs(q: np.ndarray):
+    """Yield (q_l - q_k, q_k + q_l) for every pair k < l of the angles q."""
+    qs = q.tolist()
+    for k, qk in enumerate(qs):
+        for ql in qs[k + 1 :]:
+            yield ql - qk, qk + ql
+
+
 def radial_embed(scheme: Scheme, pt) -> np.ndarray:
     """Antisymmetric generator of the radial torus for the given angles.
 

@@ -12,10 +12,11 @@ couplings
     constant, and the root-multiplicity triple.
 
 Exit status: 0 all checks pass, 1 a check failed or parameters are
-inadmissible, 2 usage or configuration error.  Reports can be written as
-JSON (--json) or CSV (--csv); identical configurations produce byte-identical
-JSON apart from the wall-clock field.  Worker count comes from --threads,
-else the BCN_VERIFY_WORKERS environment variable, else the CPU count.
+inadmissible, 2 usage or configuration error.  Status 2 covers --samples,
+--n or --modes below 1, --level, --gamma-max or --k-bound below 0, and a
+representation dimension above reduction.BRUTE_FORCE_DIM_GUARD.  Reports can
+be written as JSON (--json) or CSV (--csv); identical configurations produce
+byte-identical JSON apart from the wall-clock field.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -41,10 +41,10 @@ from .reduction import (
     CaseIIIParams,
     DEFAULT_SEED,
     RawParams,
+    max_or_nan,
 )
 
 SCHEMA_VERSION = 1
-WORKERS_ENV = "BCN_VERIFY_WORKERS"
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -76,21 +76,6 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj
-
-
-def resolve_workers(flag: Optional[int]) -> int:
-    if flag is not None:
-        value = flag
-    elif os.environ.get(WORKERS_ENV):
-        try:
-            value = int(os.environ[WORKERS_ENV])
-        except ValueError as exc:
-            raise UsageError(f"bad {WORKERS_ENV} value") from exc
-    else:
-        value = os.cpu_count() or 1
-    if value < 1:
-        raise UsageError("worker count must be >= 1")
-    return value
 
 
 def write_report(report: dict, json_path: Optional[str], csv_path: Optional[str]):
@@ -156,7 +141,7 @@ def suite_basis(scheme: Scheme, rng: np.random.Generator) -> list[Check]:
     for lmat in m_basis:
         diag = AlgebraPair(lmat, lmat)
         for i in range(len(basis)):
-            worst = max(worst, abs(algebra.pair_inner(diag, basis.pair(i))))
+            worst = max_or_nan(worst, abs(algebra.pair_inner(diag, basis.pair(i))))
     checks.append(
         Check("basis.centralizer_orthogonality", "pass" if worst <= 1e-12 else "fail",
               worst, 1e-12)
@@ -167,7 +152,7 @@ def suite_basis(scheme: Scheme, rng: np.random.Generator) -> list[Check]:
         q = polar.sample_alcove(scheme.n, rng)
         bfq = algebra.radial_embed(scheme, q)
         for lmat in m_basis:
-            worst = max(worst, float(np.abs(lmat @ bfq - bfq @ lmat).max()))
+            worst = max_or_nan(worst, float(np.abs(lmat @ bfq - bfq @ lmat).max()))
     checks.append(
         Check("basis.centralizer_commutes_with_radial",
               "pass" if worst <= 1e-13 else "fail", worst, 1e-13)
@@ -184,13 +169,13 @@ def suite_basis(scheme: Scheme, rng: np.random.Generator) -> list[Check]:
             if lab.family == "V":
                 e = basis.left[i] * polar.SQ2
                 resid = ad(ad(e)) + lab.root.at(q) ** 2 * e
-                worst_e = max(worst_e, float(np.abs(resid).max()))
+                worst_e = max_or_nan(worst_e, float(np.abs(resid).max()))
             elif lab.family == "Vt":
                 e = basis.left[i] * polar.SQ2
                 f = basis.right[i] * polar.SQ2
                 qj = lab.root.at(q)
-                worst_t = max(worst_t, float(np.abs(ad(e) - qj * f).max()))
-                worst_t = max(worst_t, float(np.abs(ad(f) + qj * e).max()))
+                worst_t = max_or_nan(worst_t, float(np.abs(ad(e) - qj * f).max()))
+                worst_t = max_or_nan(worst_t, float(np.abs(ad(f) + qj * e).max()))
     checks.append(
         Check("basis.radial_bracket_squared", "pass" if worst_e <= 1e-12 else "fail",
               worst_e, 1e-12)
@@ -212,10 +197,10 @@ def suite_inertia(scheme: Scheme, rng: np.random.Generator, samples: int) -> lis
         jmat = polar.inertia_matrix(scheme, basis, q)
         lam = polar.inertia_eigenvalues(basis, q)
         resid = jmat - np.diag(lam)
-        worst_col = max(worst_col, float(np.linalg.norm(resid, axis=0).max()))
-        worst_sym = max(worst_sym, float(np.abs(jmat - jmat.T).max()))
+        worst_col = max_or_nan(worst_col, float(np.linalg.norm(resid, axis=0).max()))
+        worst_sym = max_or_nan(worst_sym, float(np.abs(jmat - jmat.T).max()))
         det = np.linalg.det(jmat)
-        worst_det = max(worst_det, abs(det - np.prod(lam)) / abs(det))
+        worst_det = max_or_nan(worst_det, abs(det - np.prod(lam)) / abs(det))
         try:
             np.linalg.cholesky(jmat)
         except np.linalg.LinAlgError:
@@ -239,7 +224,7 @@ def suite_density(scheme: Scheme, rng: np.random.Generator, samples: int) -> lis
         q = polar.sample_alcove(scheme.n, rng)
         closed = polar.measure_factor(scheme, q)
         fd = polar.measure_factor_fd(scheme, q)
-        worst = max(worst, abs(closed - fd) / max(1.0, abs(closed)))
+        worst = max_or_nan(worst, abs(closed - fd) / max(1.0, abs(closed)))
     checks.append(
         Check("density.measure_factor_fd", "pass" if worst <= 1e-5 else "fail",
               worst, 1e-5, f"{samples} points, h=1e-4")
@@ -262,7 +247,7 @@ def suite_density(scheme: Scheme, rng: np.random.Generator, samples: int) -> lis
         nus = rng.uniform(0.3, 2.0, size=3)
         q = polar.sample_alcove(scheme.n, rng)
         _, _, rel = polar.sutherland_identity(*nus, q)
-        worst = max(worst, rel)
+        worst = max_or_nan(worst, rel)
     checks.append(
         Check("density.log_laplacian_identity", "pass" if worst <= 1e-4 else "fail",
               worst, 1e-4, "5 random exponent triples")
@@ -279,14 +264,18 @@ def suite_fock(modes: int, level: int) -> list[Check]:
               detail=f"dim {space.dim}, binomial {want}")
     )
 
-    ok = all(fock.weight_space(space, st) == [st] for st in space.states)
-    ok = ok and len(set(space.states)) == space.dim
+    # weight of each state from the number operators b_i† b_i; distinct
+    # weights make every weight space one-dimensional
+    weights = np.column_stack([fock.gl_action(space, i, i).diagonal()
+                               for i in range(modes)])
+    ok = np.array_equal(weights, space.occupations)
+    ok = ok and len(np.unique(weights, axis=0)) == space.dim
     checks.append(Check("fock.weight_spaces_one_dimensional", "pass" if ok else "fail"))
 
     top = space.state_vector((level,) + (0,) * (modes - 1))
     worst = 0.0
     for i in range(modes - 1):
-        worst = max(worst, float(np.abs(fock.gl_action(space, i, i + 1) @ top).max()))
+        worst = max_or_nan(worst, float(np.abs(fock.gl_action(space, i, i + 1) @ top).max()))
     checks.append(
         Check("fock.highest_weight_annihilated", "pass" if worst == 0.0 else "fail",
               worst, 0.0)
@@ -301,7 +290,7 @@ def suite_fock(modes: int, level: int) -> list[Check]:
             if down is not None:
                 comm = comm - fock.creation_op(down, j) @ fock.annihilation_op(space, i)
             want_op = np.eye(space.dim) if i == j else np.zeros((space.dim, space.dim))
-            worst = max(worst, float(np.abs(comm.toarray() - want_op).max()))
+            worst = max_or_nan(worst, float(np.abs(comm.toarray() - want_op).max()))
     checks.append(
         Check("fock.canonical_commutators", "pass" if worst <= 1e-12 else "fail",
               worst, 1e-12)
@@ -318,7 +307,7 @@ def _case1_spin_check(scheme: Scheme, raw: RawParams,
         q = polar.sample_alcove(scheme.n, rng)
         num = contraction.at(q)
         closed = reduction.case1_spin_closed(scheme.n, params, q)
-        worst = max(worst, abs(num - closed) / max(1.0, abs(closed)))
+        worst = max_or_nan(worst, abs(num - closed) / max(1.0, abs(closed)))
     return Check("reduction.case1_spin_closed_form",
                  "pass" if worst <= 1e-9 else "fail", worst, 1e-9)
 
@@ -375,8 +364,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", metavar="PATH", help="write the JSON report here")
     p.add_argument("--csv", metavar="PATH", help="write a CSV report here")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker count (default: ${WORKERS_ENV} or CPU count)")
 
 
 def _add_params(p: argparse.ArgumentParser) -> None:
@@ -429,6 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pc)
 
     return parser
+
+
+def check_ranges(args) -> None:
+    """Reject count and size flags below their smallest meaningful value."""
+    for name, low in (("samples", 1), ("n", 1), ("modes", 1), ("level", 0),
+                      ("gamma_max", 0), ("k_bound", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {low}")
 
 
 def _require(args, names: list[str], case: str) -> list[int]:
@@ -514,6 +510,15 @@ def cmd_verify(args) -> int:
             raise UsageError(f"verify {args.kind} requires --case and --n")
         scheme = reduction.scheme_for(args.case, args.n)
 
+    params = None
+    if args.kind == "reduction" or (args.kind == "all" and args.gamma is not None):
+        params = params_from_args(args)
+        raw = params.to_raw(args.n)
+        dim = reduction.rep_dim(scheme, raw)
+        if dim > reduction.BRUTE_FORCE_DIM_GUARD:
+            raise UsageError(f"representation dimension {dim} is above the "
+                             f"brute-force guard {reduction.BRUTE_FORCE_DIM_GUARD}")
+
     rng = np.random.default_rng(args.seed)
     if args.kind in ("basis", "all"):
         checks += suite_basis(scheme, rng)
@@ -526,13 +531,10 @@ def cmd_verify(args) -> int:
         level = args.level
         checks += suite_fock(modes, level)
     if args.kind in ("reduction", "all"):
-        has_params = args.gamma is not None
-        if not has_params and args.kind == "all":
+        if params is None:
             checks.append(Check("reduction", "skip",
                                 detail="no parameters given"))
         else:
-            params = params_from_args(args)
-            raw = params.to_raw(args.n)
             red_checks, red_extra = suite_reduction(
                 scheme, raw, args.samples, args.tol, args.seed)
             checks += red_checks
@@ -561,10 +563,8 @@ def cmd_enumerate(args) -> int:
     size = reduction.grid_size(args.case, args.n, args.gamma_max, args.k_bound)
     if size > args.cap:
         raise UsageError(f"grid has {size} cells, cap is {args.cap}")
-    workers = resolve_workers(args.threads)
     cells = reduction.enumerate_grid(
-        args.case, args.n, args.gamma_max, args.k_bound,
-        brute=args.brute, workers=workers)
+        args.case, args.n, args.gamma_max, args.k_bound, brute=args.brute)
     rows = []
     mismatches = 0
     for cell in cells:
@@ -628,6 +628,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_ranges(args)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "enumerate":

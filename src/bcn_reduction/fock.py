@@ -3,14 +3,13 @@
 The level-m subspace of an n-mode bosonic Fock space carries the u(n)
 irreducible representation with highest weight m times the first fundamental
 weight; every weight space is one-dimensional and is spanned by a single
-occupation state.  Central characters of U(n) representations are tracked by
-an integer pair (k, a1) with the congruence label mu = a1 mod n.
+occupation state.  Central characters, with the congruence label
+mu = a1 mod n, are added by `reduction.rho_prime_pair`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -36,7 +35,7 @@ class FockSpace:
     """Fixed-level bosonic Fock space with an indexed occupation basis.
 
     Instances are immutable after construction (operator caches aside) and
-    are safe for concurrent reads.  Use `fock_space` to get cached instances.
+    are safe to share.  Use `fock_space` to get cached instances.
     """
 
     def __init__(self, modes: int, level: int):
@@ -138,81 +137,12 @@ def gl_matrix(space: FockSpace, z: np.ndarray) -> sparse.csr_matrix:
     return acc.tocsr()
 
 
-def weight_space(space: FockSpace, coeffs) -> list[tuple[int, ...]]:
-    """Occupation states of the given weight; at most one exists.
-
-    `coeffs` are the integer coefficients of the weight over the coordinate
-    functionals; any negative entry or a total different from the level
-    gives the empty list.
-    """
-    coeffs = tuple(int(c) for c in coeffs)
-    if len(coeffs) != space.modes:
-        raise ValueError("coefficient count must equal the mode count")
-    if any(c < 0 for c in coeffs) or sum(coeffs) != space.level:
-        return []
-    return [coeffs]
-
-
-def mu_label(n: int, a1: int) -> int:
-    """Congruence label in {0, ..., n-1} of the highest weight a1 * (first
-    fundamental weight): a1 mod n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if a1 < 0:
-        raise ValueError("a1 must be non-negative")
-    return a1 % n
-
-
-@dataclass(frozen=True)
-class RepLabel:
-    """U(n) representation label (k, a1): symmetric power a1 twisted by the
-    k-th determinant power."""
-
-    modes: int
-    k: int
-    a1: int
-
-    def __post_init__(self) -> None:
-        if self.modes < 1:
-            raise ValueError("modes must be positive")
-        if self.a1 < 0:
-            raise ValueError("a1 must be non-negative")
-
-    @property
-    def mu(self) -> int:
-        return mu_label(self.modes, self.a1)
-
-    def space(self) -> FockSpace:
-        return fock_space(self.modes, self.a1)
-
-
-def rho_prime_u(label: RepLabel, z: np.ndarray) -> sparse.csr_matrix:
-    """Derived representation of u(n) for the label (k, a1).
-
-    Acts by the traceless part of z through the oscillator realization plus
-    the scalar (mu + n k) tr(z)/n; anti-Hermitian for anti-Hermitian z.
-    """
-    z = np.asarray(z, dtype=complex)
-    n = label.modes
-    if z.shape != (n, n):
-        raise ValueError(f"expected {n}x{n} matrix")
-    space = label.space()
-    tr = np.trace(z)
-    op = gl_matrix(space, z - (tr / n) * np.eye(n))
-    scalar = (label.mu + n * label.k) * tr / n
-    return (op + scalar * sparse.identity(space.dim, dtype=complex, format="csr")).tocsr()
-
-
 __all__ = [
     "FockSpace",
-    "RepLabel",
     "annihilation_op",
     "creation_op",
     "fock_space",
     "fock_states",
     "gl_action",
     "gl_matrix",
-    "mu_label",
-    "rho_prime_u",
-    "weight_space",
 ]

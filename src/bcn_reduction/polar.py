@@ -34,6 +34,7 @@ from .algebra import (
     AlcoveError,
     AlgebraPair,
     Scheme,
+    _angle_pairs,
     _angles,
     radial_exp,
     u_basis,
@@ -363,9 +364,8 @@ def radial_density(nu: float, nu1: float, nu2: float, pt) -> float:
     _check_alcove(q)
     n = len(q)
     val = 1.0
-    for k in range(n):
-        for l in range(k + 1, n):
-            val *= (math.sin(q[l] - q[k]) * math.sin(q[k] + q[l])) ** nu
+    for diff, tot in _angle_pairs(q):
+        val *= (math.sin(diff) * math.sin(tot)) ** nu
     for j in range(n):
         val *= math.sin(q[j]) ** nu1 * math.sin(2.0 * q[j]) ** nu2
     return val
@@ -451,10 +451,9 @@ def sutherland_rhs(nu: float, nu1: float, nu2: float, pt) -> float:
     q = _angles(pt)
     n = len(q)
     pair = 0.0
-    for k in range(n):
-        for l in range(k + 1, n):
-            pair += 1.0 / math.sin(q[k] - q[l]) ** 2
-            pair += 1.0 / math.sin(q[k] + q[l]) ** 2
+    for diff, tot in _angle_pairs(q):
+        pair += 1.0 / math.sin(diff) ** 2
+        pair += 1.0 / math.sin(tot) ** 2
     val = 2.0 * nu * (nu - 1.0) * pair
     val += nu1 * (nu1 + 2.0 * nu2 - 1.0) * float(np.sum(1.0 / np.sin(q) ** 2))
     val += 4.0 * nu2 * (nu2 - 1.0) * float(np.sum(1.0 / np.sin(2.0 * q) ** 2))

@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from typing import Optional, Union
 
 import numpy as np
 from scipy import sparse
 
-from .algebra import AlgebraPair, Scheme, factor_split, _angles
+from .algebra import AlgebraPair, Scheme, factor_split, _angle_pairs, _angles
 from .fock import FockSpace, fock_space, gl_matrix
 from .polar import (
     KPerpBasis,
@@ -221,6 +222,11 @@ def rep_space(scheme: Scheme, raw: RawParams) -> FockSpace:
     return fock_space(big_modes(scheme), raw.a1)
 
 
+def rep_dim(scheme: Scheme, raw: RawParams) -> int:
+    """Dimension of `rep_space`, without building it."""
+    return math.comb(raw.a1 + big_modes(scheme) - 1, raw.a1)
+
+
 def rho_prime_pair(
     scheme: Scheme, raw: RawParams, pair: AlgebraPair
 ) -> sparse.csr_matrix:
@@ -299,54 +305,39 @@ def _stack_centralizer_ops(scheme: Scheme, raw: RawParams) -> list[np.ndarray]:
     return ops
 
 
-def vk_bruteforce(scheme: Scheme, raw: RawParams, method: str = "auto") -> VKResult:
+def vk_bruteforce(scheme: Scheme, raw: RawParams, method: str = "columns") -> VKResult:
     """Fixed-subspace dimension by direct kernel computation.
 
     Stacks the derived-representation operators of a centralizer basis and
     counts singular values below KERNEL_RTOL times the largest one (floored
-    at 1).  With method="auto" the singular values are read off as column
-    norms whenever every operator is diagonal in the occupation basis (exact
-    for these; the stacked matrix then has orthogonal columns); otherwise,
-    and always with method="svd", a dense SVD is used.
+    at 1).  With method="columns" this is `_grid_nullity_batch` on a
+    one-cell grid: the operators are diagonal in the occupation basis, so the
+    singular values are column norms and memory stays linear in the
+    dimension.  method="svd" is the independent oracle: a dense SVD of the
+    stacked operators.
     """
     raw = to_raw(scheme, raw)
-    modes = big_modes(scheme)
-    dim = math.comb(raw.a1 + modes - 1, modes - 1)
+    dim = rep_dim(scheme, raw)
     if dim > BRUTE_FORCE_DIM_GUARD:
         raise ValueError(f"representation dimension {dim} exceeds guard")
-    space = rep_space(scheme, raw)
-    ops = _stack_centralizer_ops(scheme, raw)
-    stacked = np.vstack(ops)
-
-    use_columns = False
-    if method == "auto":
-        offdiag = max(
-            np.abs(op - np.diag(np.diagonal(op))).max() for op in ops
-        )
-        scale = max(1.0, np.abs(stacked).max())
-        use_columns = offdiag <= 1e-13 * scale
-    elif method != "svd":
+    if method == "columns":
+        kgrid = np.array([[raw.k_l1, raw.k_l2, raw.k_r1, raw.k_r2]], dtype=float)
+        nullity, states = _grid_nullity_batch(scheme, raw.a1, kgrid)
+        return VKResult(int(nullity[0]), states[0])
+    if method != "svd":
         raise ValueError(f"unknown method {method!r}")
 
-    if use_columns:
-        svals = np.sqrt((np.abs(stacked) ** 2).sum(axis=0))
-        tol = KERNEL_RTOL * max(float(svals.max()), 1.0)
-        null_idx = np.flatnonzero(svals <= tol)
-        states = tuple(space.states[i] for i in null_idx)
-        return VKResult(len(null_idx), states)
-
-    svals = np.linalg.svd(stacked, compute_uv=False)
+    space = rep_space(scheme, raw)
+    stacked = np.vstack(_stack_centralizer_ops(scheme, raw))
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     tol = KERNEL_RTOL * max(float(svals.max()), 1.0) if svals.size else 1.0
     rank = int(np.sum(svals > tol))
-    nullity = space.dim - rank
     states = []
-    if nullity:
-        _, _, vh = np.linalg.svd(stacked)
-        for row in vh[rank:]:
-            i = int(np.argmax(np.abs(row)))
-            if abs(abs(row[i]) - 1.0) <= 1e-9:
-                states.append(space.states[i])
-    return VKResult(nullity, tuple(sorted(states)))
+    for row in vh[rank:]:
+        i = int(np.argmax(np.abs(row)))
+        if abs(abs(row[i]) - 1.0) <= 1e-9:
+            states.append(space.states[i])
+    return VKResult(space.dim - rank, tuple(sorted(states)))
 
 
 class SpinContraction:
@@ -397,10 +388,9 @@ def case1_spin_closed(n: int, params: CaseIParams, pt) -> float:
     kl1, kl2, kr1 = params.k_l1, params.k_l2, params.k_r1
     val = -0.5 * n * (kl1 + kl2) ** 2
     pair = 0.0
-    for k in range(n):
-        for l in range(k + 1, n):
-            pair += 1.0 / math.sin(q[k] - q[l]) ** 2
-            pair += 1.0 / math.sin(q[k] + q[l]) ** 2
+    for diff, tot in _angle_pairs(q):
+        pair += 1.0 / math.sin(diff) ** 2
+        pair += 1.0 / math.sin(tot) ** 2
     val -= g * (g + 1) * pair
     val -= ((kl1 + kr1) ** 2 - (kl2 + kr1) ** 2) / 2.0 * float(
         np.sum(1.0 / np.sin(q) ** 2)
@@ -493,15 +483,18 @@ def bc_potential(coup: "Couplings | tuple[int, int, int]", pt) -> float:
     else:
         a, b, c = coup
     q = _angles(pt)
-    n = len(q)
     val = 0.0
-    for k in range(n):
-        for l in range(k + 1, n):
-            val += a * (a + 1) / math.sin(q[k] - q[l]) ** 2
-            val += a * (a + 1) / math.sin(q[k] + q[l]) ** 2
+    for diff, tot in _angle_pairs(q):
+        val += a * (a + 1) / math.sin(diff) ** 2
+        val += a * (a + 1) / math.sin(tot) ** 2
     val += 0.5 * (b**2 - 0.25) * float(np.sum(1.0 / np.sin(q) ** 2))
     val += 0.5 * (c**2 - 0.25) * float(np.sum(1.0 / np.cos(q) ** 2))
     return val
+
+
+def max_or_nan(a: float, b: float) -> float:
+    """max(a, b), but NaN when either is NaN (the builtin max(0.0, nan) is 0.0)."""
+    return b if b != b or b > a else a
 
 
 @dataclass(frozen=True)
@@ -523,7 +516,7 @@ class ReductionReport:
 
     @property
     def max_rel_err(self) -> float:
-        return max(s.rel_err for s in self.samples)
+        return reduce(max_or_nan, (s.rel_err for s in self.samples))
 
     @property
     def passed(self) -> bool:
@@ -592,8 +585,8 @@ def _grid_nullity_batch(
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Brute-force nullities for every determinant-power tuple at fixed a1.
 
-    Builds the same centralizer operators as `vk_bruteforce` (which are
-    diagonal in the occupation basis for these cases, so the stacked
+    Builds the diagonals of the centralizer operators of `rho_prime_pair`
+    (diagonal in the occupation basis for these cases, so the stacked
     operator has orthogonal columns and its singular values are the column
     norms), then sweeps the scalar offsets over the whole k-grid at once.
     Returns the nullity per cell and, per cell, the kernel states.
@@ -610,7 +603,7 @@ def _grid_nullity_batch(
         big = blocks[slot]
         off = np.abs(big - np.diag(np.diagonal(big))).max() if big.size else 0.0
         if off > 1e-13:
-            raise AssertionError("centralizer basis is not diagonal; use vk_bruteforce")
+            raise AssertionError("centralizer basis is not diagonal; use method='svd'")
         w = np.diagonal(big).imag
         t = np.array([np.trace(b).imag for b in blocks])
         bases.append(occ @ w - (w.sum() / modes) * a1 + mu * t[slot] / modes)
@@ -633,7 +626,6 @@ def enumerate_grid(
     gamma_max: int = 3,
     k_bound: int = 3,
     brute: bool = False,
-    workers: int = 1,
 ) -> list[GridCell]:
     """Exhaust the raw parameter grid of one case.
 
@@ -646,19 +638,17 @@ def enumerate_grid(
     ks = range(-k_bound, k_bound + 1)
     ktuples = list(product(ks, ks, ks, ks))
     kgrid = np.array(ktuples, dtype=float)
-
-    def cells_for(a1: int) -> list[GridCell]:
-        brute_dims = brute_states = None
+    cells = []
+    for a1 in _a1_values(case, n, gamma_max):
         if brute:
             brute_dims, brute_states = _grid_nullity_batch(scheme, a1, kgrid)
-        out = []
         for idx, (kl1, kl2, kr1, kr2) in enumerate(ktuples):
             raw = RawParams(case, a1, kl1, kl2, kr1, kr2)
             pred = vk_predicted(scheme, raw)
             coup = None
             if pred.dimension == 1:
                 coup = couplings(n, params_from_raw(scheme, raw))
-            out.append(
+            cells.append(
                 GridCell(
                     raw,
                     pred,
@@ -667,17 +657,7 @@ def enumerate_grid(
                     coup,
                 )
             )
-        return out
-
-    a1s = _a1_values(case, n, gamma_max)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(cells_for, a1s))
-    else:
-        chunks = [cells_for(a1) for a1 in a1s]
-    return [cell for chunk in chunks for cell in chunk]
+    return cells
 
 
 def attainable_couplings(
@@ -726,8 +706,10 @@ __all__ = [
     "couplings_from_mu",
     "enumerate_grid",
     "grid_size",
+    "max_or_nan",
     "mu_params",
     "params_from_raw",
+    "rep_dim",
     "rep_space",
     "rho_prime_pair",
     "scheme_for",

@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from bcn_reduction.fock import fock_space, gl_action, weight_space
+from bcn_reduction.fock import fock_space, gl_action
 from bcn_reduction.polar import (
     build_kperp_basis,
     inertia_eigenvalues,
@@ -242,9 +242,13 @@ def test_criterion_7_fock_suite():
     weights_ok = True
     for modes in (2, 3, 4):
         space = fock_space(modes, 6)
-        for st in space.states:
-            if weight_space(space, st) != [st]:
-                weights_ok = False
+        weights = np.column_stack(
+            [gl_action(space, i, i).diagonal() for i in range(modes)]
+        )
+        if not np.array_equal(weights, space.occupations):
+            weights_ok = False
+        if len(np.unique(weights, axis=0)) != space.dim:
+            weights_ok = False
 
     hw_err = 0.0
     for modes in (2, 3, 4, 5):

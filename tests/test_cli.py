@@ -1,6 +1,13 @@
 import json
+import math
 import subprocess
 import sys
+
+import numpy as np
+import pytest
+
+from bcn_reduction import cli, polar
+from bcn_reduction.reduction import scheme_for
 
 
 def run_cli(*args):
@@ -42,6 +49,27 @@ class TestExitCodes:
             "verify", "reduction", "--case", "I", "--n", "1"  # missing params
         )
         assert res.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "reduction", "--case", "I", "--n", "1", "--gamma", "1",
+             "--kl1", "1", "--kl2", "0", "--kr1", "0", "--samples", "0"],
+            ["verify", "basis", "--case", "I", "--n", "0"],
+            ["couplings", "--case", "I", "--n", "0", "--gamma", "1",
+             "--kl1", "1", "--kl2", "0", "--kr1", "0"],
+            ["verify", "fock", "--modes", "0"],
+            ["verify", "fock", "--level", "-1"],
+            ["enumerate", "--case", "I", "--n", "1", "--gamma-max", "-1"],
+            ["enumerate", "--case", "I", "--n", "1", "--k-bound", "-1"],
+            # representation dimension C(61, 7), above the brute-force guard
+            ["verify", "reduction", "--case", "III", "--n", "6", "--gamma", "9",
+             "--gamma-tilde", "0", "--gamma-hat", "0", "--k", "0"],
+        ],
+    )
+    def test_out_of_range_input_is_two(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_enumerate_cap_is_two(self):
         res = run_cli(
@@ -197,3 +225,15 @@ class TestVerifyAll:
                 "density.measure_factor_fd", "fock.dimension"} <= names
         skipped = [c for c in report["checks"] if c["status"] == "skip"]
         assert skipped  # reduction skipped without parameters
+
+
+class TestNonFinite:
+    def test_nan_fails_suite_check(self, monkeypatch):
+        # the NaN arrives after a finite value, where the builtin max drops it
+        offsets = iter([0.0, math.nan, 0.0])
+        fd = polar.measure_factor_fd
+        monkeypatch.setattr(polar, "measure_factor_fd",
+                            lambda scheme, q: fd(scheme, q) + next(offsets))
+        checks = cli.suite_density(scheme_for("I", 1), np.random.default_rng(0), 3)
+        check = next(c for c in checks if c.name == "density.measure_factor_fd")
+        assert check.status == "fail" and math.isnan(check.max_abs_err)

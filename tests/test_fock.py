@@ -1,21 +1,16 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcn_reduction.fock import (
-    RepLabel,
     annihilation_op,
     creation_op,
     fock_space,
     fock_states,
     gl_action,
     gl_matrix,
-    mu_label,
-    rho_prime_u,
-    weight_space,
 )
 
 
@@ -144,63 +139,13 @@ class TestGlAction:
 
 
 class TestWeights:
-    def test_unique_state(self):
-        space = fock_space(2, 2)
-        assert weight_space(space, (1, 1)) == [(1, 1)]
-
-    def test_negative_coefficient_empty(self):
-        space = fock_space(2, 2)
-        assert weight_space(space, (3, -1)) == []
-
-    def test_level_mismatch_empty(self):
-        space = fock_space(2, 2)
-        assert weight_space(space, (2, 1)) == []
-
     def test_all_weight_spaces_one_dimensional(self):
+        # the number operators b_i† b_i read off each state's weight; the
+        # weights are the occupations and no two states share one
         for modes in (2, 3, 4):
             space = fock_space(modes, 5)
-            seen = set()
-            for st_ in space.states:
-                assert weight_space(space, st_) == [st_]
-                seen.add(st_)
-            assert len(seen) == space.dim
-
-
-class TestMuLabel:
-    def test_multiples_vanish(self):
-        for n in (1, 2, 3, 5):
-            for g in (0, 1, 4):
-                assert mu_label(n, g * n) == 0
-
-    def test_small_example(self):
-        assert mu_label(2, 3) == 1
-
-    @given(n=st.integers(1, 6), g=st.integers(0, 5), gt=st.integers(0, 5))
-    @settings(max_examples=50, deadline=None)
-    def test_congruence_shift(self, n, g, gt):
-        # label of (g*n + gt) on n+1 modes is congruent to gt - g
-        assert mu_label(n + 1, g * n + gt) == (gt - g) % (n + 1)
-
-
-class TestRhoPrimeU:
-    def test_central_element_scalar(self):
-        label = RepLabel(modes=3, k=2, a1=4)
-        op = rho_prime_u(label, 1j * np.eye(3)).toarray()
-        scalar = 1j * (label.mu + 3 * 2)
-        assert np.abs(op - scalar * np.eye(label.space().dim)).max() <= 1e-13
-
-    def test_trivial_symmetric_power(self):
-        label = RepLabel(modes=2, k=3, a1=0)
-        z = np.array([[1j, 0.4], [-0.4, -2j]])
-        op = rho_prime_u(label, z).toarray()
-        assert op.shape == (1, 1)
-        assert op[0, 0] == pytest.approx(3 * np.trace(z), rel=1e-14)
-
-    def test_anti_hermitian(self):
-        rng = np.random.default_rng(0)
-        label = RepLabel(modes=3, k=-1, a1=5)
-        for _ in range(5):
-            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            z = (a - a.conj().T) / 2
-            op = rho_prime_u(label, z).toarray()
-            assert np.abs(op + op.conj().T).max() <= 1e-12
+            weights = np.column_stack(
+                [gl_action(space, i, i).diagonal() for i in range(modes)]
+            )
+            assert np.array_equal(weights, space.occupations)
+            assert len(np.unique(weights, axis=0)) == space.dim

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -191,10 +192,10 @@ class TestKernelComputation:
                 a1 = int(rng.integers(0, 7))
                 ks = [int(v) for v in rng.integers(-3, 4, 4)]
                 raw = RawParams(case, a1, *ks)
-                auto = vk_bruteforce(scheme, raw, method="auto")
+                columns = vk_bruteforce(scheme, raw)
                 svd = vk_bruteforce(scheme, raw, method="svd")
-                assert auto.dimension == svd.dimension
-                assert auto.states == svd.states
+                assert columns.dimension == svd.dimension
+                assert columns.states == svd.states
 
     def test_closed_form_matches_bruteforce_subgrid(self):
         for case, n in [("I", 1), ("II", 1), ("III", 1)]:
@@ -207,6 +208,19 @@ class TestKernelComputation:
                     assert pred.dimension == brute.dimension
                     if pred.dimension:
                         assert pred.states == brute.states
+
+    def test_case3_n5_closed_form_matches_bruteforce(self):
+        # dimension C(18, 6) = 18,564; the kernel stays linear in it
+        scheme = scheme_for("III", 5)
+        raw = CaseIIIParams(2, 1, 1, 0).to_raw(5)
+        assert raw.a1 == 12 and rep_space(scheme, raw).dim == 18_564
+        pred = vk_predicted(scheme, raw)
+        brute = vk_bruteforce(scheme, raw)
+        assert pred.dimension == brute.dimension == 1
+        assert pred.states == brute.states == ((2,) * 5 + (1, 1),)
+        shifted = RawParams("III", 12, raw.k_l1 + 1, raw.k_l2, raw.k_r1, raw.k_r2)
+        assert vk_bruteforce(scheme, shifted).dimension == 0
+        assert vk_predicted(scheme, shifted).dimension == 0
 
     def test_dimension_guard(self):
         scheme = scheme_for("III", 2)
@@ -399,6 +413,15 @@ class TestVerifyReduction:
         report = verify_reduction(scheme, raw, samples=5)
         assert report.passed
 
+    def test_nan_sample_fails(self):
+        # a NaN after a finite sample must not be dropped by the maximum
+        report = verify_reduction(scheme_for("I", 1), CaseIParams(1, 1, 0, 0),
+                                  samples=2)
+        bad = replace(report.samples[1], rel_err=math.nan)
+        report = replace(report, samples=(report.samples[0], bad))
+        assert math.isnan(report.max_rel_err)
+        assert not report.passed
+
 
 class TestEnumeration:
     def test_small_grid_consistency(self):
@@ -415,11 +438,6 @@ class TestEnumeration:
             (c.raw.a1, c.raw.k_l1, c.raw.k_l2, c.raw.k_r1, c.raw.k_r2) for c in cells
         ]
         assert keys == sorted(keys)
-
-    def test_workers_do_not_change_output(self):
-        seq = enumerate_grid("III", 1, gamma_max=1, k_bound=1, brute=True)
-        par = enumerate_grid("III", 1, gamma_max=1, k_bound=1, brute=True, workers=4)
-        assert seq == par
 
     def test_attainable_box_small(self):
         box = set(product(range(3), repeat=3))

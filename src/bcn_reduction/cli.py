@@ -13,8 +13,9 @@ couplings
 
 Exit status: 0 all checks pass, 1 a check failed or parameters are
 inadmissible, 2 usage or configuration error.  Status 2 covers --samples,
---n or --modes below 1, --level, --gamma-max or --k-bound below 0, and a
-representation dimension above reduction.BRUTE_FORCE_DIM_GUARD.  Reports can
+--n or --modes below 1, --level, --gamma-max, --k-bound, --gamma,
+--gamma-tilde or --gamma-hat below 0, and a representation dimension above
+reduction.BRUTE_FORCE_DIM_GUARD.  Reports can
 be written as JSON (--json) or CSV (--csv); identical configurations produce
 byte-identical JSON apart from the wall-clock field.
 """
@@ -419,9 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def check_ranges(args) -> None:
-    """Reject count and size flags below their smallest meaningful value."""
+    """Reject count, size and occupation flags below their smallest
+    meaningful value."""
     for name, low in (("samples", 1), ("n", 1), ("modes", 1), ("level", 0),
-                      ("gamma_max", 0), ("k_bound", 0)):
+                      ("gamma_max", 0), ("k_bound", 0), ("gamma", 0),
+                      ("gamma_tilde", 0), ("gamma_hat", 0)):
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise UsageError(f"--{name.replace('_', '-')} must be >= {low}")

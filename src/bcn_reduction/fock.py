@@ -4,7 +4,8 @@ The level-m subspace of an n-mode bosonic Fock space carries the u(n)
 irreducible representation with highest weight m times the first fundamental
 weight; every weight space is one-dimensional and is spanned by a single
 occupation state.  Central characters, with the congruence label
-mu = a1 mod n, are added by `reduction.rho_prime_pair`.
+mu = a1 mod n, are added by `reduction.rho_prime_pair`.  These operators are
+the oracle for `reduction._pair_action`; scipy is imported only to build one.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 def fock_states(modes: int, level: int) -> list[tuple[int, ...]]:
@@ -34,8 +38,8 @@ def fock_states(modes: int, level: int) -> list[tuple[int, ...]]:
 class FockSpace:
     """Fixed-level bosonic Fock space with an indexed occupation basis.
 
-    Instances are immutable after construction (operator caches aside) and
-    are safe to share.  Use `fock_space` to get cached instances.
+    Instances are immutable after construction and are safe to share.  Use
+    `fock_space` to get cached instances.
     """
 
     def __init__(self, modes: int, level: int):
@@ -47,7 +51,6 @@ class FockSpace:
             len(self.states), modes
         )
         self.occupations.flags.writeable = False
-        self._gl_cache: dict[tuple[int, int], sparse.csr_matrix] = {}
 
     @property
     def dim(self) -> int:
@@ -73,6 +76,7 @@ def annihilation_op(space: FockSpace, mode: int) -> sparse.csr_matrix:
     Matrix shape is (dim of level-1 space, dim of space); coefficients are
     sqrt(l_mode).  The level-0 source gives an empty-row matrix.
     """
+    from scipy import sparse
     if not 0 <= mode < space.modes:
         raise ValueError(f"mode {mode} out of range")
     if space.level == 0:
@@ -100,10 +104,7 @@ def gl_action(space: FockSpace, i: int, j: int) -> sparse.csr_matrix:
     """Level-preserving operator b_i† b_j realizing the elementary matrix E_ij."""
     if not (0 <= i < space.modes and 0 <= j < space.modes):
         raise ValueError("mode index out of range")
-    key = (i, j)
-    cached = space._gl_cache.get(key)
-    if cached is not None:
-        return cached
+    from scipy import sparse
     rows, cols, vals = [], [], []
     for col, st in enumerate(space.states):
         if st[j] == 0:
@@ -119,9 +120,7 @@ def gl_action(space: FockSpace, i: int, j: int) -> sparse.csr_matrix:
         rows.append(space.index[tuple(moved)])
         cols.append(col)
         vals.append(math.sqrt(st[j] * (st[i] + 1)))
-    op = sparse.csr_matrix((vals, (rows, cols)), shape=(space.dim, space.dim))
-    space._gl_cache[key] = op
-    return op
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(space.dim, space.dim))
 
 
 def gl_matrix(space: FockSpace, z: np.ndarray) -> sparse.csr_matrix:
@@ -129,6 +128,7 @@ def gl_matrix(space: FockSpace, z: np.ndarray) -> sparse.csr_matrix:
     z = np.asarray(z, dtype=complex)
     if z.shape != (space.modes, space.modes):
         raise ValueError(f"expected {space.modes}x{space.modes} matrix")
+    from scipy import sparse
     acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
     for i in range(space.modes):
         for j in range(space.modes):

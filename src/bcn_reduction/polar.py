@@ -320,7 +320,9 @@ def inertia_eigenvalues(basis: KPerpBasis, pt) -> np.ndarray:
 
     hatL -> 2;  V at root a -> 2 sin^2(a(q)/2);  W at root a -> 2 cos^2(a(q)/2);
     Vt at q_j -> 1 + sin(q_j);  Wt at q_j -> 1 - sin(q_j);  Z0 -> 1.
-    All are strictly positive on the open alcove.
+    All are strictly positive on the open alcove.  Wt is evaluated as
+    2 sin^2(pi/4 - q_j/2), the same value without the cancellation of
+    1 - sin(q_j) as q_j -> pi/2.
     """
     q = _angles(pt)
     out = np.empty(len(basis))
@@ -334,7 +336,7 @@ def inertia_eigenvalues(basis: KPerpBasis, pt) -> np.ndarray:
         elif lab.family == "Vt":
             out[idx] = 1.0 + math.sin(lab.root.at(q))
         elif lab.family == "Wt":
-            out[idx] = 1.0 - math.sin(lab.root.at(q))
+            out[idx] = 2.0 * math.sin(math.pi / 4 - lab.root.at(q) / 2.0) ** 2
         elif lab.family == "Z0":
             out[idx] = 1.0
         else:

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
-from scipy import sparse
 
 from .algebra import AlgebraPair, Scheme, factor_split, _angle_pairs, _angles
 from .fock import FockSpace, fock_space, gl_matrix
@@ -36,6 +35,9 @@ from .polar import (
     measure_factor,
     sample_alcove,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DEFAULT_SEED = 7
 
@@ -202,12 +204,6 @@ def big_modes(scheme: Scheme) -> int:
     raise ValueError("representation ansatz defined only for cases I, II, III")
 
 
-def _big_slot(case: str) -> int:
-    # index inside factor_split output: cases I/II use the first left factor,
-    # case III the first right factor
-    return 0 if case in ("I", "II") else 2
-
-
 def to_raw(scheme: Scheme, params: "KKSParams | RawParams") -> RawParams:
     if isinstance(params, RawParams):
         raw = params
@@ -227,29 +223,43 @@ def rep_dim(scheme: Scheme, raw: RawParams) -> int:
     return math.comb(raw.a1 + big_modes(scheme) - 1, raw.a1)
 
 
+def _pair_action(
+    scheme: Scheme, a1: int, pair: AlgebraPair
+) -> tuple[np.ndarray, np.ndarray, complex]:
+    """rho'(pair) as (z, traces, shift): z is the traceless part of the large
+    factor's block, traces the four factor traces, shift = (a1 mod modes) *
+    traces[slot] / modes.  With determinant powers k, on an occupation state
+
+        rho'(pair)|l> = sum_{i != j} z_ij sqrt(l_j (l_i + 1)) |l + e_i - e_j>
+                        + (diag(z).l + k.traces + shift) |l>
+    """
+    blocks = factor_split(scheme, pair)
+    modes = big_modes(scheme)
+    # index inside factor_split output: cases I/II use the first left factor,
+    # case III the first right factor
+    slot = 0 if scheme.case_tag in ("I", "II") else 2
+    traces = np.array([np.trace(b) for b in blocks])
+    z = blocks[slot] - (traces[slot] / modes) * np.eye(modes)
+    return z, traces, (a1 % modes) * traces[slot] / modes
+
+
 def rho_prime_pair(
     scheme: Scheme, raw: RawParams, pair: AlgebraPair
 ) -> sparse.csr_matrix:
-    """Derived representation of one symmetry-algebra pair.
+    """Derived representation of one pair on `rep_space`; oracle of `_pair_action`.
 
     The largest factor acts through the oscillator realization of its
     traceless part; all four factors contribute trace scalars weighted by
     their determinant powers, with the congruence label correcting the large
     factor.  Linear in the pair and anti-Hermitian on anti-Hermitian input.
     """
+    from scipy import sparse
     raw = to_raw(scheme, raw)
-    blocks = factor_split(scheme, pair)
-    modes = big_modes(scheme)
+    z, traces, shift = _pair_action(scheme, raw.a1, pair)
     space = rep_space(scheme, raw)
-    slot = _big_slot(raw.case)
-    big = blocks[slot]
-    mu = raw.a1 % modes
-    traces = [np.trace(b) for b in blocks]
-    ks = (raw.k_l1, raw.k_l2, raw.k_r1, raw.k_r2)
-    scalar = sum(k * t for k, t in zip(ks, traces)) + mu * traces[slot] / modes
-    op = gl_matrix(space, big - (traces[slot] / modes) * np.eye(modes))
+    scalar = np.dot((raw.k_l1, raw.k_l2, raw.k_r1, raw.k_r2), traces) + shift
     eye = sparse.identity(space.dim, dtype=complex, format="csr")
-    return (op + scalar * eye).tocsr()
+    return (gl_matrix(space, z) + scalar * eye).tocsr()
 
 
 def vk_predicted(scheme: Scheme, raw: RawParams) -> VKResult:
@@ -349,7 +359,11 @@ class SpinContraction:
         sum_alpha <v, rho'(T_alpha)^2 v> / lambda_alpha(q)
 
     with v the unit vector spanning the fixed subspace.  The state-dependent
-    weights are computed once; only the eigenvalues depend on q.
+    weights are computed once; only the eigenvalues depend on q.  For v the
+    occupation state l and (z, traces, shift) from `_pair_action`, the hops
+    reach distinct states, so, with no Fock space built, the weight of T_alpha is
+
+        -(sum_{i != j} |z_ij|^2 l_j (l_i + 1) + |diag(z).l + k.traces + shift|^2)
     """
 
     def __init__(self, scheme: Scheme, raw: RawParams):
@@ -361,14 +375,16 @@ class SpinContraction:
         self.raw = raw
         self.state = vk.states[0]
         self.basis: KPerpBasis = build_kperp_basis(scheme)
-        space = rep_space(scheme, raw)
-        v = space.state_vector(self.state)
+        occ = np.array(self.state, dtype=float)
+        ks = (raw.k_l1, raw.k_l2, raw.k_r1, raw.k_r2)
         weights = np.empty(len(self.basis))
         for i in range(len(self.basis)):
-            op = rho_prime_pair(scheme, raw, self.basis.pair(i))
-            u = op @ v
+            z, traces, shift = _pair_action(scheme, raw.a1, self.basis.pair(i))
+            hops = np.abs(z) ** 2
+            np.fill_diagonal(hops, 0.0)
+            diag = np.diagonal(z) @ occ + np.dot(ks, traces) + shift
             # <v, op^2 v> = -|op v|^2 for anti-Hermitian op
-            weights[i] = -float(np.vdot(u, u).real)
+            weights[i] = -float((occ + 1.0) @ hops @ occ + abs(diag) ** 2)
         self.weights = weights
 
     def at(self, pt) -> float:
@@ -537,6 +553,8 @@ def verify_reduction(
     identically and are not sampled.  Sample points keep a 0.05 margin from
     all alcove walls.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     raw = to_raw(scheme, params)
     free = params_from_raw(scheme, raw)
     coup = couplings(scheme.n, free)
@@ -585,29 +603,23 @@ def _grid_nullity_batch(
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Brute-force nullities for every determinant-power tuple at fixed a1.
 
-    Builds the diagonals of the centralizer operators of `rho_prime_pair`
+    Builds the diagonals of the centralizer operators from `_pair_action`
     (diagonal in the occupation basis for these cases, so the stacked
     operator has orthogonal columns and its singular values are the column
     norms), then sweeps the scalar offsets over the whole k-grid at once.
     Returns the nullity per cell and, per cell, the kernel states.
     """
-    modes = big_modes(scheme)
-    space = fock_space(modes, a1)
+    space = fock_space(big_modes(scheme), a1)
     occ = space.occupations.astype(float)
-    mu = a1 % modes
-    slot = _big_slot(scheme.case_tag)
     bases = []
     traces = []
     for lmat in build_m_basis(scheme):
-        blocks = factor_split(scheme, AlgebraPair(lmat, lmat))
-        big = blocks[slot]
-        off = np.abs(big - np.diag(np.diagonal(big))).max() if big.size else 0.0
-        if off > 1e-13:
+        z, t, shift = _pair_action(scheme, a1, AlgebraPair(lmat, lmat))
+        w = np.diagonal(z)
+        if np.abs(z - np.diag(w)).max() > 1e-13:
             raise AssertionError("centralizer basis is not diagonal; use method='svd'")
-        w = np.diagonal(big).imag
-        t = np.array([np.trace(b).imag for b in blocks])
-        bases.append(occ @ w - (w.sum() / modes) * a1 + mu * t[slot] / modes)
-        traces.append(t)
+        bases.append(occ @ w.imag + shift.imag)
+        traces.append(t.imag)
     base = np.array(bases)  # (n_ops, dim)
     tmat = np.array(traces)  # (n_ops, 4)
     offsets = kgrid @ tmat.T  # (cells, n_ops)
@@ -634,6 +646,9 @@ def enumerate_grid(
     are returned sorted by (a1, k_l1, k_l2, k_r1, k_r2).  With brute=True
     every cell also carries the brute-force kernel dimension and states.
     """
+    for name, value in (("gamma_max", gamma_max), ("k_bound", k_bound)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     scheme = scheme_for(case, n)
     ks = range(-k_bound, k_bound + 1)
     ktuples = list(product(ks, ks, ks, ks))

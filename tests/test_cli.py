@@ -65,6 +65,12 @@ class TestExitCodes:
             # representation dimension C(61, 7), above the brute-force guard
             ["verify", "reduction", "--case", "III", "--n", "6", "--gamma", "9",
              "--gamma-tilde", "0", "--gamma-hat", "0", "--k", "0"],
+            ["couplings", "--case", "I", "--n", "1", "--gamma", "-1",
+             "--kl1", "0", "--kl2", "0", "--kr1", "0"],
+            ["verify", "reduction", "--case", "II", "--n", "1", "--gamma", "0",
+             "--gamma-tilde", "-1", "--kr1", "0", "--kr2", "0"],
+            ["verify", "reduction", "--case", "III", "--n", "2", "--gamma", "1",
+             "--gamma-tilde", "0", "--gamma-hat", "-1", "--k", "0"],
         ],
     )
     def test_out_of_range_input_is_two(self, argv, capsys):
@@ -132,6 +138,26 @@ class TestReports:
         assert res.returncode == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) > 2 and "name" in lines[0]
+
+
+class TestStartup:
+    def test_enumerate_and_reduction_do_not_import_scipy(self, tmp_path):
+        # scipy builds the Fock-space oracle only; the CLI's own paths act
+        # on occupation states
+        code = (
+            "import sys\n"
+            "from bcn_reduction import cli\n"
+            "assert cli.main(['enumerate', '--case', 'II', '--n', '1', '--brute',"
+            f" '--json', {str(tmp_path / 'e.json')!r}]) == 0\n"
+            "assert cli.main(['verify', 'reduction', '--case', 'III', '--n', '2',"
+            " '--gamma', '1', '--gamma-tilde', '0', '--gamma-hat', '2', '--k', '0',"
+            f" '--json', {str(tmp_path / 'v.json')!r}]) == 0\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
 
 class TestCouplingsCommand:

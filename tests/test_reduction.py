@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcn_reduction.algebra import AlgebraPair, random_antiherm
-from bcn_reduction.polar import build_kperp_basis, sample_alcove
+from bcn_reduction.fock import fock_space
+from bcn_reduction.polar import build_kperp_basis, measure_factor, sample_alcove
 from bcn_reduction.reduction import (
     CaseIParams,
     CaseIIParams,
@@ -274,21 +275,44 @@ class TestSpinTerm:
         con = SpinContraction(scheme, CaseIIIParams(0, 0, 0, 0).to_raw(1))
         assert np.abs(con.weights).max() == 0.0
 
-    def test_phase_invariance(self):
+    @pytest.mark.parametrize(
+        "case,n,params",
+        [
+            (case, n, params)
+            for case, sets in (
+                ("I", (CaseIParams(1, 1, 0, 0), CaseIParams(2, -1, 2, 1))),
+                ("II", (CaseIIParams(0, 1, 0, 0), CaseIIParams(2, 1, -2, 3))),
+                ("III", (CaseIIIParams(1, 0, 2, 0), CaseIIIParams(2, 1, 3, -1))),
+            )
+            for n in (1, 2, 3)
+            for params in sets
+        ],
+    )
+    def test_phase_invariance(self, case, n, params):
         # the contraction only sees |op v|^2, so any phase on the fixed
-        # vector drops out
-        scheme = scheme_for("III", 1)
-        raw = CaseIIIParams(1, 0, 2, 0).to_raw(1)
+        # vector drops out; the sparse operators are the oracle for the
+        # closed-form weights
+        scheme = scheme_for(case, n)
+        raw = params.to_raw(n)
         con = SpinContraction(scheme, raw)
         space = rep_space(scheme, raw)
-        basis = con.basis
+        ops = [rho_prime_pair(scheme, raw, con.basis.pair(i))
+               for i in range(len(con.basis))]
         for phase in (1j, np.exp(0.7j), np.exp(-2.1j)):
             v = phase * space.state_vector(con.state)
-            weights = []
-            for i in range(len(basis)):
-                u = rho_prime_pair(scheme, raw, basis.pair(i)) @ v
-                weights.append(-float(np.vdot(u, u).real))
+            weights = [-float(np.vdot(op @ v, op @ v).real) for op in ops]
             assert np.abs(np.array(weights) - con.weights).max() <= 1e-12
+
+    def test_no_fock_space_built(self):
+        # case III, n = 6, a1 = 14: the representation has C(21, 7) = 116,280
+        # states, but the weights only need the occupation state
+        scheme = scheme_for("III", 6)
+        params = CaseIIIParams(2, 1, 1, 0)
+        before = fock_space.cache_info()
+        SpinContraction(scheme, params.to_raw(6))
+        report = verify_reduction(scheme, params, samples=20, tol=1e-8)
+        assert fock_space.cache_info() == before
+        assert report.passed, report.max_rel_err
 
     def test_summands_real(self):
         scheme = scheme_for("II", 2)
@@ -413,6 +437,23 @@ class TestVerifyReduction:
         report = verify_reduction(scheme, raw, samples=5)
         assert report.passed
 
+    def test_wall_approach(self):
+        # as q_2 -> pi/2 the Wt eigenvalue 1 - sin q_2 must not cancel; the
+        # residual may grow only like machine precision over the distance
+        scheme = scheme_for("III", 2)
+        params = CaseIIIParams(1, 0, 2, 0)
+        con = SpinContraction(scheme, params.to_raw(2))
+        coup = couplings(2, params)
+        for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+            q = np.array([0.5, math.pi / 2 - eps])
+            lhs = measure_factor(scheme, q) - con.at(q)
+            rhs = bc_potential(coup, q) + float(coup.constant)
+            assert abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)) <= 1e-15 / eps
+
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples"):
+            verify_reduction(scheme_for("I", 1), CaseIParams(1, 1, 0, 0), samples=0)
+
     def test_nan_sample_fails(self):
         # a NaN after a finite sample must not be dropped by the maximum
         report = verify_reduction(scheme_for("I", 1), CaseIParams(1, 1, 0, 0),
@@ -431,6 +472,18 @@ class TestEnumeration:
             assert cell.predicted.dimension == cell.brute_dimension
             if cell.predicted.dimension:
                 assert cell.predicted.states == cell.brute_states
+
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"k_bound": -1, "brute": True}, "k_bound"),
+            ({"k_bound": -1}, "k_bound"),
+            ({"gamma_max": -1}, "gamma_max"),
+        ],
+    )
+    def test_negative_bounds_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            enumerate_grid("I", 1, **{"gamma_max": 1, "k_bound": 1, **kwargs})
 
     def test_rows_sorted(self):
         cells = enumerate_grid("I", 1, gamma_max=1, k_bound=1)

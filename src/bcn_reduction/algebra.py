@@ -262,12 +262,11 @@ def _angles(pt) -> np.ndarray:
     return np.asarray(pt, dtype=float)
 
 
-def _angle_pairs(q: np.ndarray):
-    """Yield (q_l - q_k, q_k + q_l) for every pair k < l of the angles q."""
-    qs = q.tolist()
-    for k, qk in enumerate(qs):
-        for ql in qs[k + 1 :]:
-            yield ql - qk, qk + ql
+def _angle_pairs(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (q_l - q_k, q_k + q_l) over the pairs k < l of the last axis of
+    q, shape (..., n); pairs in lexicographic order, as in np.triu_indices."""
+    k, l = np.triu_indices(q.shape[-1], 1)
+    return q[..., l] - q[..., k], q[..., k] + q[..., l]
 
 
 def radial_embed(scheme: Scheme, pt) -> np.ndarray:

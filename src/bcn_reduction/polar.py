@@ -44,6 +44,17 @@ SQ2 = math.sqrt(2.0)
 
 FAMILIES = ("hatL", "V", "W", "Vt", "Wt", "Z0")
 
+#: (coefficient of q_k, coefficient of q_l) of each root kind
+_ROOT_COEFS = {"diff": (1.0, -1.0), "sum": (1.0, 1.0), "short": (1.0, 0.0),
+               "long": (2.0, 0.0), "zero": (0.0, 0.0)}
+
+#: inertia eigenvalue 2 f(sign * root(q)/2 + offset)^2 of each family, as
+#: (sign, offset, f is cos); pi/4 - float(pi/4) is added where offset != 0
+_FAMILY_FORMS = {"hatL": (1, 0.0, True), "V": (1, 0.0, False), "W": (1, 0.0, True),
+                 "Vt": (-1, math.pi / 4, True), "Wt": (-1, math.pi / 4, False),
+                 "Z0": (1, math.pi / 4, False)}
+_PI4_TAIL = 3.061616997868383e-17
+
 #: interior margin (radians) required by the finite-difference operators
 WALL_MARGIN = 0.05
 
@@ -60,18 +71,18 @@ class Root:
     k: int = 0
     l: int = 0
 
+    def coef(self, n: int) -> np.ndarray:
+        """Coefficient vector c of the functional, root(q) = c @ q."""
+        ck, cl = _ROOT_COEFS[self.kind]
+        c = np.zeros(n)
+        if ck:
+            c[self.k - 1] = ck
+        if cl:
+            c[self.l - 1] = cl
+        return c
+
     def at(self, q: np.ndarray) -> float:
-        if self.kind == "diff":
-            return float(q[self.k - 1] - q[self.l - 1])
-        if self.kind == "sum":
-            return float(q[self.k - 1] + q[self.l - 1])
-        if self.kind == "short":
-            return float(q[self.k - 1])
-        if self.kind == "long":
-            return float(2.0 * q[self.k - 1])
-        if self.kind == "zero":
-            return 0.0
-        raise ValueError(f"bad root kind {self.kind!r}")
+        return self.coef(len(q)) @ q
 
     def __str__(self) -> str:
         names = {
@@ -111,6 +122,9 @@ class KPerpBasis:
     labels : tuple of BasisLabel
     left, right : ndarray, shape (dim, N, N)
         Stacked components of the basis pairs, in label order.
+    half_roots : ndarray, shape (dim, n); offsets, tails, cos_mask : (dim,)
+        The family table per label: eigenvalue i is 2 f(half_roots[i] @ q
+        + offsets[i] + tails[i])^2, with f = cos where cos_mask[i], else sin.
     """
 
     def __init__(self, scheme: Scheme, labels, left, right):
@@ -118,8 +132,14 @@ class KPerpBasis:
         self.labels = tuple(labels)
         self.left = np.asarray(left)
         self.right = np.asarray(right)
-        self.left.flags.writeable = False
-        self.right.flags.writeable = False
+        sign, self.offsets, self.cos_mask = map(
+            np.array, zip(*(_FAMILY_FORMS[lab.family] for lab in self.labels)))
+        coefs = np.array([lab.root.coef(scheme.n) for lab in self.labels])
+        self.half_roots = sign[:, None] * coefs / 2.0
+        self.tails = np.where(self.offsets != 0.0, _PI4_TAIL, 0.0)
+        for arr in (self.left, self.right, self.half_roots, self.offsets,
+                    self.tails, self.cos_mask):
+            arr.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -316,32 +336,17 @@ def inertia_matrix(scheme: Scheme, basis: KPerpBasis, pt) -> np.ndarray:
 
 
 def inertia_eigenvalues(basis: KPerpBasis, pt) -> np.ndarray:
-    """Closed-form inertia eigenvalue for every basis vector, in basis order.
+    """Closed-form inertia eigenvalues at q of shape (..., n), shape (..., dim).
 
-    hatL -> 2;  V at root a -> 2 sin^2(a(q)/2);  W at root a -> 2 cos^2(a(q)/2);
-    Vt at q_j -> 1 + sin(q_j);  Wt at q_j -> 1 - sin(q_j);  Z0 -> 1.
-    All are strictly positive on the open alcove.  Wt is evaluated as
-    2 sin^2(pi/4 - q_j/2), the same value without the cancellation of
-    1 - sin(q_j) as q_j -> pi/2.
+    hatL -> 2 cos^2(0);  V at root a -> 2 sin^2(a/2);  W -> 2 cos^2(a/2);
+    Vt at q_j -> 1 + sin q_j = 2 cos^2(pi/4 - q_j/2);
+    Wt at q_j -> 1 - sin q_j = 2 sin^2(pi/4 - q_j/2);  Z0 -> 2 sin^2(pi/4).
+    All are strictly positive on the open alcove.  The rounding tail of
+    float(pi/4) is added after the offset, so pi/4 - q_j/2 keeps full
+    relative precision as q_j -> pi/2 and Wt does not cancel.
     """
-    q = _angles(pt)
-    out = np.empty(len(basis))
-    for idx, lab in enumerate(basis.labels):
-        if lab.family == "hatL":
-            out[idx] = 2.0
-        elif lab.family == "V":
-            out[idx] = 2.0 * math.sin(lab.root.at(q) / 2.0) ** 2
-        elif lab.family == "W":
-            out[idx] = 2.0 * math.cos(lab.root.at(q) / 2.0) ** 2
-        elif lab.family == "Vt":
-            out[idx] = 1.0 + math.sin(lab.root.at(q))
-        elif lab.family == "Wt":
-            out[idx] = 2.0 * math.sin(math.pi / 4 - lab.root.at(q) / 2.0) ** 2
-        elif lab.family == "Z0":
-            out[idx] = 1.0
-        else:
-            raise ValueError(f"bad family {lab.family!r}")
-    return out
+    x = (_angles(pt) @ basis.half_roots.T + basis.offsets) + basis.tails
+    return 2.0 * np.where(basis.cos_mask, np.cos(x), np.sin(x)) ** 2
 
 
 def nu_triple(scheme: Scheme) -> tuple[float, float, float]:
@@ -364,13 +369,9 @@ def radial_density(nu: float, nu1: float, nu2: float, pt) -> float:
     """
     q = _angles(pt)
     _check_alcove(q)
-    n = len(q)
-    val = 1.0
-    for diff, tot in _angle_pairs(q):
-        val *= (math.sin(diff) * math.sin(tot)) ** nu
-    for j in range(n):
-        val *= math.sin(q[j]) ** nu1 * math.sin(2.0 * q[j]) ** nu2
-    return val
+    diff, tot = _angle_pairs(q)
+    return np.prod((np.sin(diff) * np.sin(tot)) ** nu, axis=-1) * np.prod(
+        np.sin(q) ** nu1 * np.sin(2.0 * q) ** nu2, axis=-1)
 
 
 def density_sqrt(scheme: Scheme, pt) -> float:
@@ -385,7 +386,7 @@ def density_sqrt(scheme: Scheme, pt) -> float:
 
 
 def measure_factor(scheme: Scheme, pt) -> float:
-    """Closed form of the radial quantum correction term.
+    """Closed form of the radial quantum correction term at q of shape (..., n).
 
     Equals (m-n)(r-s)/2 * sum_j 1/sin^2(q_j)
          + (4(s-n)^2 - 1)/2 * sum_j 1/sin^2(2 q_j)
@@ -393,8 +394,8 @@ def measure_factor(scheme: Scheme, pt) -> float:
     """
     q = _angles(pt)
     m, n, r, s = scheme.m, scheme.n, scheme.r, scheme.s
-    t1 = (m - n) * (r - s) / 2.0 * float(np.sum(1.0 / np.sin(q) ** 2))
-    t2 = (4.0 * (s - n) ** 2 - 1.0) / 2.0 * float(np.sum(1.0 / np.sin(2.0 * q) ** 2))
+    t1 = (m - n) * (r - s) / 2.0 * np.sum(1.0 / np.sin(q) ** 2, axis=-1)
+    t2 = (4.0 * (s - n) ** 2 - 1.0) / 2.0 * np.sum(1.0 / np.sin(2.0 * q) ** 2, axis=-1)
     return t1 + t2 - n * (3.0 * m**2 + n**2 - 1.0) / 6.0
 
 
@@ -451,14 +452,12 @@ def sutherland_rhs(nu: float, nu1: float, nu2: float, pt) -> float:
     pair factor contributes second derivatives through two angles.
     """
     q = _angles(pt)
-    n = len(q)
-    pair = 0.0
-    for diff, tot in _angle_pairs(q):
-        pair += 1.0 / math.sin(diff) ** 2
-        pair += 1.0 / math.sin(tot) ** 2
+    n = q.shape[-1]
+    diff, tot = _angle_pairs(q)
+    pair = np.sum(1.0 / np.sin(diff) ** 2 + 1.0 / np.sin(tot) ** 2, axis=-1)
     val = 2.0 * nu * (nu - 1.0) * pair
-    val += nu1 * (nu1 + 2.0 * nu2 - 1.0) * float(np.sum(1.0 / np.sin(q) ** 2))
-    val += 4.0 * nu2 * (nu2 - 1.0) * float(np.sum(1.0 / np.sin(2.0 * q) ** 2))
+    val += nu1 * (nu1 + 2.0 * nu2 - 1.0) * np.sum(1.0 / np.sin(q) ** 2, axis=-1)
+    val += 4.0 * nu2 * (nu2 - 1.0) * np.sum(1.0 / np.sin(2.0 * q) ** 2, axis=-1)
     ss = nu1 + 2.0 * nu2
     val -= n * (ss**2 + 2.0 * nu * ss * (n - 1) + (2.0 / 3.0) * nu**2 * (n - 1) * (2 * n - 1))
     return val

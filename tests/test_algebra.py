@@ -9,6 +9,7 @@ from bcn_reduction.algebra import (
     AlgebraPair,
     RadialPoint,
     Scheme,
+    _angle_pairs,
     apply_involution,
     factor_split,
     grade_project,
@@ -251,6 +252,18 @@ class TestRadial:
         s = Scheme.of_case("II", 2)
         bfq = radial_embed(s, [0.3, 0.8])
         assert np.abs(grade_project(s, bfq, "--") - bfq).max() == 0.0
+
+    def test_angle_pairs_match_loop(self):
+        # pairs k < l in lexicographic order, exactly, for a point and a batch
+        rng = np.random.default_rng(10)
+        for n in range(1, 6):
+            qs = rng.uniform(0.0, math.pi / 2, size=(4, n))
+            diff, tot = _angle_pairs(qs)
+            for row, d, t in zip(qs, diff, tot):
+                pairs = [(row[l] - row[k], row[k] + row[l])
+                         for k in range(n) for l in range(k + 1, n)]
+                assert list(zip(d, t)) == pairs
+                assert list(zip(*_angle_pairs(row))) == pairs
 
 
 class TestRadialPoint:

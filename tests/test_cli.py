@@ -62,9 +62,6 @@ class TestExitCodes:
             ["verify", "fock", "--level", "-1"],
             ["enumerate", "--case", "I", "--n", "1", "--gamma-max", "-1"],
             ["enumerate", "--case", "I", "--n", "1", "--k-bound", "-1"],
-            # representation dimension C(61, 7), above the brute-force guard
-            ["verify", "reduction", "--case", "III", "--n", "6", "--gamma", "9",
-             "--gamma-tilde", "0", "--gamma-hat", "0", "--k", "0"],
             ["couplings", "--case", "I", "--n", "1", "--gamma", "-1",
              "--kl1", "0", "--kl2", "0", "--kr1", "0"],
             ["verify", "reduction", "--case", "II", "--n", "1", "--gamma", "0",
@@ -76,6 +73,19 @@ class TestExitCodes:
     def test_out_of_range_input_is_two(self, argv, capsys):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_above_guard_skips_brute_force(self, tmp_path, capsys):
+        # representation dimension C(61, 7), above the brute-force guard: the
+        # cross-check is skipped and the identity is still verified
+        out = tmp_path / "r.json"
+        argv = ["verify", "reduction", "--case", "III", "--n", "6", "--gamma", "9",
+                "--gamma-tilde", "0", "--gamma-hat", "0", "--k", "0",
+                "--json", str(out)]
+        assert cli.main(argv) == 0
+        status = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert status["reduction.admissible"]["status"] == "skip"
+        assert "436270780" in status["reduction.admissible"]["detail"]
+        assert status["reduction.identity_residual"]["status"] == "pass"
 
     def test_enumerate_cap_is_two(self):
         res = run_cli(

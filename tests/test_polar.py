@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -123,6 +124,31 @@ class TestKPerpBasis:
                 assert np.abs(ad(basis.right[i])).max() <= 1e-13
 
 
+#: root functionals and the six eigenvalue closed forms, written from the
+#: definitions for an oracle independent of the family table
+_MP_ROOTS = {"diff": lambda q, k, l: q[k - 1] - q[l - 1],
+             "sum": lambda q, k, l: q[k - 1] + q[l - 1],
+             "short": lambda q, k, l: q[k - 1], "long": lambda q, k, l: 2 * q[k - 1],
+             "zero": lambda q, k, l: 0}
+_MP_FORMS = {"hatL": lambda a: 2, "V": lambda a: 2 * mpmath.sin(a / 2) ** 2,
+             "W": lambda a: 2 * mpmath.cos(a / 2) ** 2, "Vt": lambda a: 1 + mpmath.sin(a),
+             "Wt": lambda a: 1 - mpmath.sin(a), "Z0": lambda a: 1}
+
+
+def _mpmath_rel_err(basis, q) -> float:
+    """Largest relative error of inertia_eigenvalues against the closed forms
+    evaluated in 40-digit arithmetic at the same (exactly converted) q."""
+    lam = inertia_eigenvalues(basis, q)
+    worst = 0.0
+    with mpmath.workdps(40):
+        qm = [mpmath.mpf(float(v)) for v in q]
+        for x, lab in zip(lam.tolist(), basis.labels):
+            root = lab.root
+            ref = mpmath.mpf(_MP_FORMS[lab.family](_MP_ROOTS[root.kind](qm, root.k, root.l)))
+            worst = max(worst, float(abs((x - ref) / ref)))
+    return worst
+
+
 class TestInertia:
     def test_case1_n1_worked_values(self):
         s = Scheme.of_case("I", 1)
@@ -161,6 +187,21 @@ class TestInertia:
         }
         assert vals[("V", "e1-e2")] == pytest.approx(2 * math.sin(0.2) ** 2, rel=1e-14)
         assert vals[("W", "e1-e2")] == pytest.approx(2 * math.cos(0.2) ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("case,n", [(c, n) for c in ("I", "II", "III") for n in (1, 2, 3)])
+    def test_eigenvalues_match_mpmath(self, case, n):
+        basis = build_kperp_basis(Scheme.of_case(case, n))
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            q = sample_alcove(n, rng)
+            assert _mpmath_rel_err(basis, q) <= 5e-15, q
+
+    @pytest.mark.parametrize("wall", ["top", "bottom", "gap"])
+    @pytest.mark.parametrize("case,n", [(c, n) for c in ("I", "II", "III") for n in (2, 3)])
+    def test_eigenvalues_match_mpmath_at_walls(self, case, n, wall, wall_points):
+        basis = build_kperp_basis(Scheme.of_case(case, n))
+        for q in wall_points(n, wall):
+            assert _mpmath_rel_err(basis, q) <= 2e-15, q
 
     def test_diagonalization_all_schemes(self):
         rng = np.random.default_rng(4)

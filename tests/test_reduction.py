@@ -405,6 +405,25 @@ class TestPotential:
                 full = bc_potential((a, b, b), q)
                 assert abs(full - merged) / max(1, abs(full)) <= 1e-12
 
+    def test_batch_matches_term_loop(self):
+        # reference: the potential summed term by term at each point; the
+        # batch sums in another order, so allow a few units of rounding
+        rng = np.random.default_rng(8)
+        a, b, c = 2, 3, 1
+        for n in (1, 2, 3, 4):
+            qs = np.array([sample_alcove(n, rng) for _ in range(5)])
+            for q, got in zip(qs, bc_potential((a, b, c), qs)):
+                want = sum(a * (a + 1) / math.sin(q[l] + s * q[k]) ** 2
+                           for k in range(n) for l in range(k + 1, n) for s in (-1, 1))
+                want += sum(0.5 * (b**2 - 0.25) / math.sin(x) ** 2
+                            + 0.5 * (c**2 - 0.25) / math.cos(x) ** 2 for x in q)
+                assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+#: one admissible set per case with every coupling nonzero
+WALL_PARAMS = {"I": CaseIParams(1, 2, 0, 1), "II": CaseIIParams(1, 2, 1, 0),
+               "III": CaseIIIParams(1, 0, 2, 0)}
+
 
 class TestVerifyReduction:
     @pytest.mark.parametrize(
@@ -437,18 +456,37 @@ class TestVerifyReduction:
         report = verify_reduction(scheme, raw, samples=5)
         assert report.passed
 
-    def test_wall_approach(self):
-        # as q_2 -> pi/2 the Wt eigenvalue 1 - sin q_2 must not cancel; the
-        # residual may grow only like machine precision over the distance
-        scheme = scheme_for("III", 2)
-        params = CaseIIIParams(1, 0, 2, 0)
-        con = SpinContraction(scheme, params.to_raw(2))
-        coup = couplings(2, params)
-        for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
-            q = np.array([0.5, math.pi / 2 - eps])
+    @pytest.mark.parametrize("wall", ["top", "bottom", "gap"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("case", ["I", "II", "III"])
+    def test_wall_approach(self, case, n, wall, wall_points):
+        # no eigenvalue or potential term may cancel near a wall: the residual
+        # stays at machine precision down to 1e-12 from each wall
+        scheme = scheme_for(case, n)
+        params = WALL_PARAMS[case]
+        con = SpinContraction(scheme, params.to_raw(n))
+        coup = couplings(n, params)
+        for q in wall_points(n, wall):
             lhs = measure_factor(scheme, q) - con.at(q)
             rhs = bc_potential(coup, q) + float(coup.constant)
-            assert abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)) <= 1e-15 / eps
+            assert abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)) <= 4e-15, q
+
+    @pytest.mark.parametrize("case,n", [("I", 2), ("II", 2), ("III", 3)])
+    def test_batch_matches_single_points(self, case, n):
+        # the batch draws the same points as sample_alcove called in turn, and
+        # each row equals the single-point evaluation
+        scheme, params = scheme_for(case, n), WALL_PARAMS[case]
+        report = verify_reduction(scheme, params, samples=50, seed=31)
+        con = SpinContraction(scheme, params.to_raw(n))
+        coup = couplings(n, params)
+        rng = np.random.default_rng(31)
+        for row in report.samples:
+            q = sample_alcove(n, rng)
+            assert row.q == tuple(q.tolist())
+            lhs = measure_factor(scheme, q) - con.at(q)
+            rhs = bc_potential(coup, q) + float(coup.constant)
+            assert row.lhs == pytest.approx(lhs, rel=1e-15, abs=0)
+            assert row.rhs == pytest.approx(rhs, rel=1e-15, abs=0)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError, match="samples"):

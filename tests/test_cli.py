@@ -62,6 +62,7 @@ class TestExitCodes:
             ["verify", "fock", "--level", "-1"],
             ["enumerate", "--case", "I", "--n", "1", "--gamma-max", "-1"],
             ["enumerate", "--case", "I", "--n", "1", "--k-bound", "-1"],
+            ["enumerate", "--case", "II", "--n", "0"],
             ["couplings", "--case", "I", "--n", "1", "--gamma", "-1",
              "--kl1", "0", "--kl2", "0", "--kr1", "0"],
             ["verify", "reduction", "--case", "II", "--n", "1", "--gamma", "0",

@@ -25,6 +25,7 @@ from .fock import FockSpace, fock_space, gl_action
 from .polar import (
     BasisLabel,
     KPerpBasis,
+    RootSeries,
     build_kperp_basis,
     build_m_basis,
     density_sqrt,
@@ -52,7 +53,6 @@ from .reduction import (
     enumerate_grid,
     mu_params,
     scheme_for,
-    spin_term,
     verify_reduction,
     vk_bruteforce,
     vk_predicted,

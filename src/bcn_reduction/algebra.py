@@ -325,3 +325,9 @@ def u_basis(p: int) -> list[np.ndarray]:
             e[a, b], e[b, a] = 1j, 1j
             out.append(e / math.sqrt(2))
     return out
+
+
+__all__ = ["ANTIHERM_TOL", "AlcoveError", "AlgebraPair", "RadialPoint", "Scheme",
+           "apply_involution", "check_pair", "factor_split", "grade_project", "inner_y",
+           "involution_matrix", "pair_inner", "radial_embed", "radial_exp",
+           "random_antiherm", "to_antiherm", "u_basis"]

@@ -14,10 +14,12 @@ couplings
 Exit status: 0 all checks pass, 1 a check failed or parameters are
 inadmissible, 2 usage or configuration error.  Status 2 covers --samples,
 --n or --modes below 1, and --level, --gamma-max, --k-bound, --gamma,
---gamma-tilde or --gamma-hat below 0.  Above reduction.BRUTE_FORCE_DIM_GUARD
-the brute-force check reduction.admissible is a skip, not an error.  Reports
-can be written as JSON (--json) or CSV (--csv); identical configurations
-produce byte-identical JSON apart from the wall-clock field.
+--gamma-tilde or --gamma-hat below 0, and --n above polar.max_alcove_rank()
+(30) for the verify kinds that sample alcove points.  Above
+reduction.BRUTE_FORCE_DIM_GUARD the brute-force check reduction.admissible is
+a skip, not an error.  Reports can be written as JSON (--json) or CSV
+(--csv); identical configurations produce byte-identical JSON apart from the
+wall-clock field.
 """
 
 from __future__ import annotations
@@ -63,6 +65,11 @@ class Check:
     max_abs_err: Optional[float] = None
     tol: Optional[float] = None
     detail: str = ""
+
+
+def _within(name: str, err: float, tol: float, detail: str = "") -> Check:
+    """A check that passes when err <= tol; a NaN err fails."""
+    return Check(name, "pass" if err <= tol else "fail", err, tol, detail)
 
 
 def _jsonable(obj):
@@ -116,10 +123,7 @@ def suite_basis(scheme: Scheme, rng: np.random.Generator) -> list[Check]:
     checks = []
 
     gram_err = float(np.abs(basis.gram() - np.eye(len(basis))).max())
-    checks.append(
-        Check("basis.gram_identity", "pass" if gram_err <= 1e-12 else "fail",
-              gram_err, 1e-12)
-    )
+    checks.append(_within("basis.gram_identity", gram_err, 1e-12))
 
     n, r, s = scheme.n, scheme.r, scheme.s
     counts = basis.family_counts()
@@ -143,10 +147,7 @@ def suite_basis(scheme: Scheme, rng: np.random.Generator) -> list[Check]:
         diag = AlgebraPair(lmat, lmat)
         for i in range(len(basis)):
             worst = max_or_nan(worst, abs(algebra.pair_inner(diag, basis.pair(i))))
-    checks.append(
-        Check("basis.centralizer_orthogonality", "pass" if worst <= 1e-12 else "fail",
-              worst, 1e-12)
-    )
+    checks.append(_within("basis.centralizer_orthogonality", worst, 1e-12))
 
     worst = 0.0
     for _ in range(5):
@@ -154,10 +155,7 @@ def suite_basis(scheme: Scheme, rng: np.random.Generator) -> list[Check]:
         bfq = algebra.radial_embed(scheme, q)
         for lmat in m_basis:
             worst = max_or_nan(worst, float(np.abs(lmat @ bfq - bfq @ lmat).max()))
-    checks.append(
-        Check("basis.centralizer_commutes_with_radial",
-              "pass" if worst <= 1e-13 else "fail", worst, 1e-13)
-    )
+    checks.append(_within("basis.centralizer_commutes_with_radial", worst, 1e-13))
 
     # squared radial bracket multiplies each root vector by -root(q)^2, and
     # the mixed families rotate into each other under a single bracket
@@ -177,14 +175,8 @@ def suite_basis(scheme: Scheme, rng: np.random.Generator) -> list[Check]:
                 qj = lab.root.at(q)
                 worst_t = max_or_nan(worst_t, float(np.abs(ad(e) - qj * f).max()))
                 worst_t = max_or_nan(worst_t, float(np.abs(ad(f) + qj * e).max()))
-    checks.append(
-        Check("basis.radial_bracket_squared", "pass" if worst_e <= 1e-12 else "fail",
-              worst_e, 1e-12)
-    )
-    checks.append(
-        Check("basis.radial_bracket_mixing", "pass" if worst_t <= 1e-13 else "fail",
-              worst_t, 1e-13)
-    )
+    checks.append(_within("basis.radial_bracket_squared", worst_e, 1e-12))
+    checks.append(_within("basis.radial_bracket_mixing", worst_t, 1e-13))
     return checks
 
 
@@ -207,12 +199,10 @@ def suite_inertia(scheme: Scheme, rng: np.random.Generator, samples: int) -> lis
         except np.linalg.LinAlgError:
             pd = False
     checks = [
-        Check("inertia.diagonalization", "pass" if worst_col <= 1e-10 else "fail",
-              worst_col, 1e-10, f"{samples} points, dim {dim}"),
-        Check("inertia.symmetry", "pass" if worst_sym <= 1e-12 else "fail",
-              worst_sym, 1e-12),
-        Check("inertia.determinant_vs_eigenvalues",
-              "pass" if worst_det <= 1e-10 else "fail", worst_det, 1e-10),
+        _within("inertia.diagonalization", worst_col, 1e-10,
+                f"{samples} points, dim {dim}"),
+        _within("inertia.symmetry", worst_sym, 1e-12),
+        _within("inertia.determinant_vs_eigenvalues", worst_det, 1e-10),
         Check("inertia.positive_definite", "pass" if pd else "fail"),
     ]
     return checks
@@ -223,13 +213,11 @@ def suite_density(scheme: Scheme, rng: np.random.Generator, samples: int) -> lis
     worst = 0.0
     for _ in range(samples):
         q = polar.sample_alcove(scheme.n, rng)
-        closed = polar.measure_factor(scheme, q)
+        closed = polar.measure_factor(scheme).at(q)
         fd = polar.measure_factor_fd(scheme, q)
         worst = max_or_nan(worst, abs(closed - fd) / max(1.0, abs(closed)))
-    checks.append(
-        Check("density.measure_factor_fd", "pass" if worst <= 1e-5 else "fail",
-              worst, 1e-5, f"{samples} points, h=1e-4")
-    )
+    checks.append(_within("density.measure_factor_fd", worst, 1e-5,
+                          f"{samples} points, h=1e-4"))
 
     basis = polar.build_kperp_basis(scheme)
     ratios = []
@@ -238,10 +226,7 @@ def suite_density(scheme: Scheme, rng: np.random.Generator, samples: int) -> lis
         det = np.linalg.det(polar.inertia_matrix(scheme, basis, q))
         ratios.append(polar.density_sqrt(scheme, q) ** 4 / det)
     spread = (max(ratios) - min(ratios)) / abs(np.mean(ratios))
-    checks.append(
-        Check("density.fourth_power_tracks_det", "pass" if spread <= 1e-9 else "fail",
-              spread, 1e-9)
-    )
+    checks.append(_within("density.fourth_power_tracks_det", spread, 1e-9))
 
     worst = 0.0
     for _ in range(5):
@@ -249,10 +234,8 @@ def suite_density(scheme: Scheme, rng: np.random.Generator, samples: int) -> lis
         q = polar.sample_alcove(scheme.n, rng)
         _, _, rel = polar.sutherland_identity(*nus, q)
         worst = max_or_nan(worst, rel)
-    checks.append(
-        Check("density.log_laplacian_identity", "pass" if worst <= 1e-4 else "fail",
-              worst, 1e-4, "5 random exponent triples")
-    )
+    checks.append(_within("density.log_laplacian_identity", worst, 1e-4,
+                          "5 random exponent triples"))
     return checks
 
 
@@ -277,10 +260,7 @@ def suite_fock(modes: int, level: int) -> list[Check]:
     worst = 0.0
     for i in range(modes - 1):
         worst = max_or_nan(worst, float(np.abs(fock.gl_action(space, i, i + 1) @ top).max()))
-    checks.append(
-        Check("fock.highest_weight_annihilated", "pass" if worst == 0.0 else "fail",
-              worst, 0.0)
-    )
+    checks.append(_within("fock.highest_weight_annihilated", worst, 0.0))
 
     worst = 0.0
     up = fock.fock_space(modes, level + 1)
@@ -292,10 +272,7 @@ def suite_fock(modes: int, level: int) -> list[Check]:
                 comm = comm - fock.creation_op(down, j) @ fock.annihilation_op(space, i)
             want_op = np.eye(space.dim) if i == j else np.zeros((space.dim, space.dim))
             worst = max_or_nan(worst, float(np.abs(comm.toarray() - want_op).max()))
-    checks.append(
-        Check("fock.canonical_commutators", "pass" if worst <= 1e-12 else "fail",
-              worst, 1e-12)
-    )
+    checks.append(_within("fock.canonical_commutators", worst, 1e-12))
     return checks
 
 
@@ -304,11 +281,10 @@ def _case1_spin_check(scheme: Scheme, raw: RawParams,
     params = reduction.params_from_raw(scheme, raw)
     contraction = reduction.SpinContraction(scheme, raw)
     q = np.array([polar.sample_alcove(scheme.n, rng) for _ in range(10)])
-    closed = reduction.case1_spin_closed(scheme.n, params, q)
+    closed = reduction.case1_spin_closed(scheme.n, params).at(q)
     worst = float(np.max(np.abs(contraction.at(q) - closed)
                          / np.maximum(1.0, np.abs(closed))))
-    return Check("reduction.case1_spin_closed_form",
-                 "pass" if worst <= 1e-9 else "fail", worst, 1e-9)
+    return _within("reduction.case1_spin_closed_form", worst, 1e-9)
 
 
 def suite_reduction(scheme: Scheme, raw: RawParams, samples: int, tol: float,
@@ -332,11 +308,8 @@ def suite_reduction(scheme: Scheme, raw: RawParams, samples: int, tol: float,
 
     report = reduction.verify_reduction(scheme, raw, samples=samples, tol=tol,
                                         seed=seed)
-    checks.append(
-        Check("reduction.identity_residual",
-              "pass" if report.passed else "fail", report.max_rel_err, tol,
-              f"{samples} samples")
-    )
+    checks.append(_within("reduction.identity_residual", report.max_rel_err, tol,
+                          f"{samples} samples"))
     if raw.case == "I":
         checks.append(_case1_spin_check(scheme, raw, np.random.default_rng(seed)))
 
@@ -431,56 +404,34 @@ def check_ranges(args) -> None:
             raise UsageError(f"--{name.replace('_', '-')} must be >= {low}")
 
 
-def _require(args, names: list[str], case: str) -> list[int]:
-    vals = []
-    for name in names:
-        v = getattr(args, name)
-        if v is None:
-            raise UsageError(f"case {case} requires --{name.replace('_', '-')}")
-        vals.append(v)
-    return vals
+#: per case: parameter class, its flags in constructor order, why the rest are fixed
+_CASE_FLAGS = {
+    "I": (CaseIParams, ["gamma", "kl1", "kl2", "kr1"],
+          "determinant powers must sum to zero"),
+    "II": (CaseIIParams, ["gamma", "gamma_tilde", "kr1", "kr2"],
+           "weight and central-character conditions"),
+    "III": (CaseIIIParams, ["gamma", "gamma_tilde", "gamma_hat", "k"],
+            "weight and central-character conditions"),
+}
 
 
 def params_from_args(args) -> "reduction.KKSParams":
     """Build case parameters from flags, validating any dependent powers.
 
     Raises UsageError for missing flags and InadmissibleError (ValueError)
-    when explicitly supplied dependent determinant powers violate the
-    admissibility conditions.
+    when a supplied --kl1/--kl2/--kr1/--kr2 differs from the power the free
+    parameters fix.
     """
-    case = args.case
-    if case == "I":
-        gamma, kl1, kl2, kr1 = _require(args, ["gamma", "kl1", "kl2", "kr1"], case)
-        params = CaseIParams(gamma, kl1, kl2, kr1)
-        if args.kr2 is not None and kl1 + kl2 + kr1 + args.kr2 != 0:
-            raise InadmissibleError(
-                "determinant powers must sum to zero: "
-                f"k_l1+k_l2+k_r1+k_r2 = {kl1 + kl2 + kr1 + args.kr2}"
-            )
-        return params
-    if case == "II":
-        gamma, gt, kr1, kr2 = _require(
-            args, ["gamma", "gamma_tilde", "kr1", "kr2"], case)
-        params = CaseIIParams(gamma, gt, kr1, kr2)
-        raw = params.to_raw(args.n)
-        for flag, want in (("kl1", raw.k_l1), ("kl2", raw.k_l2)):
-            got = getattr(args, flag)
-            if got is not None and got != want:
-                raise InadmissibleError(
-                    f"--{flag} must equal {want} for these occupation "
-                    "parameters (weight and central-character conditions)"
-                )
-        return params
-    gamma, gt, gh, k = _require(
-        args, ["gamma", "gamma_tilde", "gamma_hat", "k"], case)
-    params = CaseIIIParams(gamma, gt, gh, k)
+    cls, names, reason = _CASE_FLAGS[args.case]
+    for name in names:
+        if getattr(args, name) is None:
+            raise UsageError(f"case {args.case} requires --{name.replace('_', '-')}")
+    params = cls(*(getattr(args, name) for name in names))
     raw = params.to_raw(args.n)
-    for flag, want in (("kl2", raw.k_l2), ("kr1", raw.k_r1), ("kr2", raw.k_r2)):
-        got = getattr(args, flag)
+    for flag in ("kl1", "kl2", "kr1", "kr2"):
+        got, want = getattr(args, flag), getattr(raw, "k_" + flag[1:])
         if got is not None and got != want:
-            raise InadmissibleError(
-                f"--{flag} must equal {want} for these occupation parameters"
-            )
+            raise InadmissibleError(f"--{flag} must equal {want} ({reason})")
     return params
 
 
@@ -512,6 +463,9 @@ def cmd_verify(args) -> int:
     if needs_scheme:
         if args.case is None or args.n is None:
             raise UsageError(f"verify {args.kind} requires --case and --n")
+        if args.n > polar.max_alcove_rank():
+            raise UsageError(f"--n must be <= {polar.max_alcove_rank()} for "
+                             f"{polar.WALL_MARGIN}-spaced alcove samples")
         scheme = reduction.scheme_for(args.case, args.n)
 
     params = None

@@ -349,6 +349,32 @@ def inertia_eigenvalues(basis: KPerpBasis, pt) -> np.ndarray:
     return 2.0 * np.where(basis.cos_mask, np.cos(x), np.sin(x)) ** 2
 
 
+@dataclass(frozen=True)
+class RootSeries:
+    """A closed-form term as coefficients of the BC_n root functions:
+
+        pair * sum_{k<l} [1/sin^2(q_k - q_l) + 1/sin^2(q_k + q_l)]
+      + csc2 * sum_j 1/sin^2(q_j) + sec2 * sum_j 1/cos^2(q_j) + const.
+
+    The long roots enter through 1/sin^2(2 q_j) = (1/sin^2 q_j + 1/cos^2 q_j)/4.
+    """
+
+    pair: float
+    csc2: float
+    sec2: float
+    const: float
+
+    def at(self, pt) -> np.ndarray:
+        """Value at q of shape (..., n): one value per point."""
+        q = _angles(pt)
+        diff, tot = _angle_pairs(q)
+        pairs = np.sum(1.0 / np.sin(diff) ** 2 + 1.0 / np.sin(tot) ** 2, axis=-1)
+        return (self.pair * pairs
+                + self.csc2 * np.sum(1.0 / np.sin(q) ** 2, axis=-1)
+                + self.sec2 * np.sum(1.0 / np.cos(q) ** 2, axis=-1)
+                + self.const)
+
+
 def nu_triple(scheme: Scheme) -> tuple[float, float, float]:
     """Density exponents (1, r - s, s - n + 1/2) of the scheme."""
     return (1.0, float(scheme.r - scheme.s), scheme.s - scheme.n + 0.5)
@@ -385,18 +411,16 @@ def density_sqrt(scheme: Scheme, pt) -> float:
     return radial_density(*nu_triple(scheme), pt)
 
 
-def measure_factor(scheme: Scheme, pt) -> float:
-    """Closed form of the radial quantum correction term at q of shape (..., n).
+def measure_factor(scheme: Scheme) -> RootSeries:
+    """Radial quantum correction term: half of `sutherland_rhs` at `nu_triple`.
 
-    Equals (m-n)(r-s)/2 * sum_j 1/sin^2(q_j)
-         + (4(s-n)^2 - 1)/2 * sum_j 1/sin^2(2 q_j)
-         - n (3 m^2 + n^2 - 1)/6.
+    In the paper's form it is (m-n)(r-s)/2 * sum_j 1/sin^2(q_j)
+      + (4(s-n)^2 - 1)/2 * sum_j 1/sin^2(2 q_j) - n (3 m^2 + n^2 - 1)/6,
+    so pair = 0, sec2 = (4(s-n)^2 - 1)/8, csc2 = (m-n)(r-s)/2 + sec2 and
+    const = -n (3 m^2 + n^2 - 1)/6.
     """
-    q = _angles(pt)
-    m, n, r, s = scheme.m, scheme.n, scheme.r, scheme.s
-    t1 = (m - n) * (r - s) / 2.0 * np.sum(1.0 / np.sin(q) ** 2, axis=-1)
-    t2 = (4.0 * (s - n) ** 2 - 1.0) / 2.0 * np.sum(1.0 / np.sin(2.0 * q) ** 2, axis=-1)
-    return t1 + t2 - n * (3.0 * m**2 + n**2 - 1.0) / 6.0
+    full = sutherland_rhs(*nu_triple(scheme), scheme.n)
+    return RootSeries(full.pair / 2, full.csc2 / 2, full.sec2 / 2, full.const / 2)
 
 
 def interior_margin(q: np.ndarray) -> float:
@@ -436,8 +460,8 @@ def measure_factor_fd(scheme: Scheme, pt, h: float = 1e-4) -> float:
     return 0.5 * _fd_radial_sum(f, q, h) / f(q)
 
 
-def sutherland_rhs(nu: float, nu1: float, nu2: float, pt) -> float:
-    """Closed form for the log-Laplacian of the product density.
+def sutherland_rhs(nu: float, nu1: float, nu2: float, n: int) -> RootSeries:
+    """Closed form for the log-Laplacian of the product density in rank n.
 
     This is the Sutherland-type differential identity: the sum of second
     derivatives of the product density divided by the density equals
@@ -446,21 +470,17 @@ def sutherland_rhs(nu: float, nu1: float, nu2: float, pt) -> float:
       + nu1(nu1 + 2 nu2 - 1) sum_j 1/sin^2(q_j)
       + 4 nu2(nu2 - 1)       sum_j 1/sin^2(2 q_j)
       - n [ (nu1 + 2 nu2)^2 + 2 nu (nu1 + 2 nu2)(n - 1)
-            + (2/3) nu^2 (n - 1)(2n - 1) ].
+            + (2/3) nu^2 (n - 1)(2n - 1) ],
 
-    The pair coefficient 2 nu(nu-1) counts each unordered pair once; each
-    pair factor contributes second derivatives through two angles.
+    so pair = 2 nu(nu-1), csc2 = nu1(nu1 + 2 nu2 - 1) + nu2(nu2 - 1),
+    sec2 = nu2(nu2 - 1) and const is the bracketed term times -n.  The pair
+    coefficient counts each unordered pair once; each pair factor
+    contributes second derivatives through two angles.
     """
-    q = _angles(pt)
-    n = q.shape[-1]
-    diff, tot = _angle_pairs(q)
-    pair = np.sum(1.0 / np.sin(diff) ** 2 + 1.0 / np.sin(tot) ** 2, axis=-1)
-    val = 2.0 * nu * (nu - 1.0) * pair
-    val += nu1 * (nu1 + 2.0 * nu2 - 1.0) * np.sum(1.0 / np.sin(q) ** 2, axis=-1)
-    val += 4.0 * nu2 * (nu2 - 1.0) * np.sum(1.0 / np.sin(2.0 * q) ** 2, axis=-1)
     ss = nu1 + 2.0 * nu2
-    val -= n * (ss**2 + 2.0 * nu * ss * (n - 1) + (2.0 / 3.0) * nu**2 * (n - 1) * (2 * n - 1))
-    return val
+    bracket = ss**2 + 2.0 * nu * ss * (n - 1) + (2.0 / 3.0) * nu**2 * (n - 1) * (2 * n - 1)
+    return RootSeries(2.0 * nu * (nu - 1.0), nu1 * (ss - 1.0) + nu2 * (nu2 - 1.0),
+                      nu2 * (nu2 - 1.0), -n * bracket)
 
 
 def sutherland_identity(
@@ -475,18 +495,24 @@ def sutherland_identity(
     q = _angles(pt)
     f = lambda qq: radial_density(nu, nu1, nu2, qq)
     lhs = _fd_radial_sum(f, q, h) / f(q)
-    rhs = sutherland_rhs(nu, nu1, nu2, q)
+    rhs = sutherland_rhs(nu, nu1, nu2, q.shape[-1]).at(q)
     rel = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
     return lhs, rhs, rel
+
+
+def max_alcove_rank(margin: float = WALL_MARGIN) -> int:
+    """Largest n for which n angles fit `margin` apart and `margin` from the
+    alcove walls (30 at WALL_MARGIN)."""
+    return math.floor((math.pi / 2 - 2 * margin) / margin) + 1
 
 
 def sample_alcove(
     n: int, rng: np.random.Generator, margin: float = WALL_MARGIN
 ) -> np.ndarray:
     """Draw one interior alcove point with the given margin from all walls."""
-    lo, hi = margin, math.pi / 2 - margin
-    if hi - lo < (n - 1) * margin:
+    if n > max_alcove_rank(margin):
         raise ValueError(f"margin {margin} leaves no room for {n} angles")
+    lo, hi = margin, math.pi / 2 - margin
     while True:
         q = np.sort(rng.uniform(lo, hi, size=n))
         if n == 1 or np.min(np.diff(q)) >= margin:
@@ -498,6 +524,7 @@ __all__ = [
     "FAMILIES",
     "KPerpBasis",
     "Root",
+    "RootSeries",
     "WALL_MARGIN",
     "build_kperp_basis",
     "build_m_basis",
@@ -505,6 +532,7 @@ __all__ = [
     "inertia_eigenvalues",
     "inertia_matrix",
     "interior_margin",
+    "max_alcove_rank",
     "measure_factor",
     "measure_factor_fd",
     "nu_triple",

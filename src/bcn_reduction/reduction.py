@@ -7,11 +7,13 @@ subspace is one-dimensional, the spin contraction collapses to a scalar
 potential, and the reduced radial operator must equal the trigonometric
 BC_n Sutherland Hamiltonian up to an additive constant:
 
-    measure_factor(q) - spin_term(q) = bc_potential(q) + constant
+    measure_factor(scheme).at(q) - SpinContraction(scheme, raw).at(q)
+        = bc_potential(couplings).at(q) + constant
 
-pointwise on the alcove (the kinetic parts agree identically).  This module
-hosts the parameter bookkeeping, closed-form and brute-force admissibility,
-the spin contraction, the coupling maps, and the end-to-end verification.
+pointwise on the alcove (the kinetic parts agree identically); the closed
+forms are `RootSeries`.  This module hosts the parameter bookkeeping,
+closed-form and brute-force admissibility, the spin contraction, the
+coupling maps, and the end-to-end verification.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .algebra import AlgebraPair, Scheme, factor_split, _angle_pairs, _angles
+from .algebra import AlgebraPair, Scheme, factor_split
 from .fock import FockSpace, fock_space, gl_matrix
 from .polar import (
     KPerpBasis,
+    RootSeries,
     build_kperp_basis,
     build_m_basis,
     inertia_eigenvalues,
@@ -392,22 +395,13 @@ class SpinContraction:
         return np.sum(self.weights / inertia_eigenvalues(self.basis, pt), axis=-1)
 
 
-def spin_term(scheme: Scheme, params: "KKSParams | RawParams", pt) -> float:
-    """Scalar spin term at one alcove point; see SpinContraction for sweeps."""
-    return SpinContraction(scheme, to_raw(scheme, params)).at(pt)
-
-
-def case1_spin_closed(n: int, params: CaseIParams, pt) -> float:
-    """Closed form of the case-I spin term at angles of shape (..., n)."""
-    q = _angles(pt)
-    g = params.gamma
-    kl1, kl2, kr1 = params.k_l1, params.k_l2, params.k_r1
-    diff, tot = _angle_pairs(q)
-    pair = np.sum(1.0 / np.sin(diff) ** 2 + 1.0 / np.sin(tot) ** 2, axis=-1)
-    return (-0.5 * n * (kl1 + kl2) ** 2 - g * (g + 1) * pair
-            - ((kl1 + kr1) ** 2 - (kl2 + kr1) ** 2) / 2.0
-            * np.sum(1.0 / np.sin(q) ** 2, axis=-1)
-            - 2.0 * (kl2 + kr1) ** 2 * np.sum(1.0 / np.sin(2.0 * q) ** 2, axis=-1))
+def case1_spin_closed(n: int, params: CaseIParams) -> RootSeries:
+    """Closed form of the case-I spin term in rank n, with g = params.gamma:
+    pair = -g(g+1), csc2 = -(k_l1 + k_r1)^2/2, sec2 = -(k_l2 + k_r1)^2/2 and
+    const = -n (k_l1 + k_l2)^2/2."""
+    g, kl1, kl2, kr1 = params.gamma, params.k_l1, params.k_l2, params.k_r1
+    return RootSeries(-g * (g + 1), -0.5 * (kl1 + kr1) ** 2, -0.5 * (kl2 + kr1) ** 2,
+                      -0.5 * n * (kl1 + kl2) ** 2)
 
 
 def couplings(n: int, params: KKSParams) -> Couplings:
@@ -483,22 +477,18 @@ def couplings_from_mu(mu: MuParams, constant: Fraction = Fraction(0)) -> Couplin
     return Couplings(int(a), int(b), int(c), constant)
 
 
-def bc_potential(coup: "Couplings | tuple[int, int, int]", pt) -> float:
-    """Trigonometric Sutherland potential with couplings (a, b, c), q (..., n).
+def bc_potential(coup: "Couplings | tuple[int, int, int]") -> RootSeries:
+    """Trigonometric Sutherland potential with couplings (a, b, c).
 
     Pair terms a(a+1)/sin^2(q_k -+ q_l) over k < l, plus half of
-    (b^2 - 1/4)/sin^2(q_j) and (c^2 - 1/4)/cos^2(q_j) per angle.
+    (b^2 - 1/4)/sin^2(q_j) and (c^2 - 1/4)/cos^2(q_j) per angle: pair =
+    a(a+1), csc2 = (b^2 - 1/4)/2, sec2 = (c^2 - 1/4)/2 and const = 0.
     """
     if isinstance(coup, Couplings):
         a, b, c = coup.a, coup.b, coup.c
     else:
         a, b, c = coup
-    q = _angles(pt)
-    diff, tot = _angle_pairs(q)
-    pair = np.sum(1.0 / np.sin(diff) ** 2 + 1.0 / np.sin(tot) ** 2, axis=-1)
-    return (a * (a + 1) * pair
-            + 0.5 * (b**2 - 0.25) * np.sum(1.0 / np.sin(q) ** 2, axis=-1)
-            + 0.5 * (c**2 - 0.25) * np.sum(1.0 / np.cos(q) ** 2, axis=-1))
+    return RootSeries(a * (a + 1), 0.5 * (b**2 - 0.25), 0.5 * (c**2 - 0.25), 0.0)
 
 
 def max_or_nan(a: float, b: float) -> float:
@@ -555,8 +545,8 @@ def verify_reduction(
     contraction = SpinContraction(scheme, raw)
     rng = np.random.default_rng(seed)
     q = np.array([sample_alcove(scheme.n, rng) for _ in range(samples)])
-    lhs = measure_factor(scheme, q) - contraction.at(q)
-    rhs = bc_potential(coup, q) + float(coup.constant)
+    lhs = measure_factor(scheme).at(q) - contraction.at(q)
+    rhs = bc_potential(coup).at(q) + float(coup.constant)
     rel = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     rows = map(SampleResidual, map(tuple, q.tolist()), lhs.tolist(), rhs.tolist(),
                rel.tolist())
@@ -721,7 +711,6 @@ __all__ = [
     "rep_space",
     "rho_prime_pair",
     "scheme_for",
-    "spin_term",
     "to_raw",
     "verify_reduction",
     "vk_bruteforce",

@@ -99,7 +99,7 @@ def test_criterion_3_measure_factor():
             scheme = scheme_for(case, n)
             for _ in range(10):
                 q = sample_alcove(n, rng)
-                closed = measure_factor(scheme, q)
+                closed = measure_factor(scheme).at(q)
                 fd = measure_factor_fd(scheme, q, h=1e-4)
                 worst_mes = max(worst_mes, abs(closed - fd) / max(1, abs(closed)))
     worst_id = 0.0
@@ -172,7 +172,7 @@ def test_criterion_5_case1_spin_term():
             con = SpinContraction(scheme, params.to_raw(n))
             for _ in range(10):
                 q = sample_alcove(n, rng)
-                closed = case1_spin_closed(n, params, q)
+                closed = case1_spin_closed(n, params).at(q)
                 worst = max(worst, abs(con.at(q) - closed) / max(1, abs(closed)))
     ok = worst <= 1e-9
     _report(5, "case-I spin term", ok,

@@ -69,6 +69,9 @@ class TestExitCodes:
              "--gamma-tilde", "-1", "--kr1", "0", "--kr2", "0"],
             ["verify", "reduction", "--case", "III", "--n", "2", "--gamma", "1",
              "--gamma-tilde", "0", "--gamma-hat", "-1", "--k", "0"],
+            ["verify", "reduction", "--case", "I", "--n", "31", "--gamma", "0",
+             "--kl1", "0", "--kl2", "0", "--kr1", "0"],
+            ["verify", "inertia", "--case", "III", "--n", "31"],
         ],
     )
     def test_out_of_range_input_is_two(self, argv, capsys):
@@ -103,6 +106,15 @@ class TestExitCodes:
         )
         assert res.returncode == 1
         assert "sum to zero" in res.stderr
+
+
+    def test_contradicting_dependent_power_is_one(self, capsys):
+        # case III fixes k_l1 = k, so a different --kl1 is rejected, not ignored
+        argv = ["couplings", "--case", "III", "--n", "1", "--gamma", "0",
+                "--gamma-tilde", "0", "--gamma-hat", "0", "--k", "0", "--kl1"]
+        assert cli.main(argv + ["5"]) == 1
+        assert "--kl1 must equal 0" in capsys.readouterr().err
+        assert cli.main(argv + ["0"]) == 0
 
 
 class TestReports:

@@ -18,7 +18,6 @@ from bcn_reduction.polar import (
     nu_triple,
     sample_alcove,
     sutherland_identity,
-    sutherland_rhs,
     _fd_radial_sum,
 )
 
@@ -279,16 +278,16 @@ class TestMeasureFactor:
             s = Scheme.of_case("I", n)
             q = np.linspace(0.3, 1.2, n)
             want = -0.5 * np.sum(1 / np.sin(2 * q) ** 2) - n * (4 * n**2 - 1) / 6
-            assert measure_factor(s, q) == pytest.approx(want, rel=1e-14)
+            assert measure_factor(s).at(q) == pytest.approx(want, rel=1e-14)
 
     def test_case2_n1_worked_value(self):
         s = Scheme.of_case("II", 1)
-        assert measure_factor(s, [math.pi / 4]) == pytest.approx(-1.5, rel=1e-14)
+        assert measure_factor(s).at([math.pi / 4]) == pytest.approx(-1.5, rel=1e-14)
 
     def test_fd_oracle_worked_point(self):
         s = Scheme.of_case("I", 2)
         q = np.array([0.4, 1.0])
-        closed = measure_factor(s, q)
+        closed = measure_factor(s).at(q)
         fd = measure_factor_fd(s, q)
         assert abs(closed - fd) / abs(closed) <= 1e-5
 
@@ -297,14 +296,14 @@ class TestMeasureFactor:
         for s in ALL_SCHEMES:
             for _ in range(3):
                 q = sample_alcove(s.n, rng)
-                closed = measure_factor(s, q)
+                closed = measure_factor(s).at(q)
                 fd = measure_factor_fd(s, q)
                 assert abs(closed - fd) / max(1, abs(closed)) <= 1e-5
 
     def test_fd_second_order_convergence(self):
         s = Scheme.of_case("II", 2)
         q = np.array([0.5, 1.0])
-        closed = measure_factor(s, q)
+        closed = measure_factor(s).at(q)
         e1 = abs(measure_factor_fd(s, q, h=2e-2) - closed)
         e2 = abs(measure_factor_fd(s, q, h=1e-2) - closed)
         assert 2.5 <= e1 / e2 <= 6.0
@@ -335,7 +334,7 @@ class TestSutherlandIdentity:
         assert rel <= 1e-5
         # halving gives the measure factor of the matching scheme
         s = Scheme.of_case("I", 1)
-        assert 0.5 * rhs == pytest.approx(measure_factor(s, [0.6]), rel=1e-12)
+        assert 0.5 * rhs == pytest.approx(measure_factor(s).at([0.6]), rel=1e-12)
         want = -0.5 / math.sin(1.2) ** 2 - 0.5
         assert 0.5 * rhs == pytest.approx(want, rel=1e-12)
 
@@ -353,13 +352,16 @@ class TestSutherlandIdentity:
                 assert rel <= 1e-4
 
     def test_scheme_exponents_match_measure_factor(self):
-        # the halved identity evaluated at the scheme's exponent triple IS
-        # the measure factor
+        # the paper's closed form of the measure factor, spelled out here so
+        # that it checks the halved identity at the scheme's exponents
         rng = np.random.default_rng(10)
-        for s in ALL_SCHEMES:
-            q = sample_alcove(s.n, rng)
-            rhs = sutherland_rhs(*nu_triple(s), q)
-            assert 0.5 * rhs == pytest.approx(measure_factor(s, q), rel=1e-11)
+        for scheme in ALL_SCHEMES + TestGenericSchemes.GENERIC:
+            m, n, r, s = scheme.m, scheme.n, scheme.r, scheme.s
+            q = sample_alcove(n, rng)
+            want = ((m - n) * (r - s) / 2 * np.sum(1 / np.sin(q) ** 2)
+                    + (4 * (s - n) ** 2 - 1) / 2 * np.sum(1 / np.sin(2 * q) ** 2)
+                    - n * (3 * m**2 + n**2 - 1) / 6)
+            assert measure_factor(scheme).at(q) == pytest.approx(want, rel=1e-13)
 
 
 class TestGenericSchemes:
@@ -382,7 +384,7 @@ class TestGenericSchemes:
         rng = np.random.default_rng(14)
         for s in self.GENERIC:
             q = sample_alcove(s.n, rng)
-            closed = measure_factor(s, q)
+            closed = measure_factor(s).at(q)
             assert abs(closed - measure_factor_fd(s, q)) / max(1, abs(closed)) <= 1e-5
 
 

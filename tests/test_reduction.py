@@ -29,7 +29,6 @@ from bcn_reduction.reduction import (
     rep_space,
     rho_prime_pair,
     scheme_for,
-    spin_term,
     verify_reduction,
     vk_bruteforce,
     vk_predicted,
@@ -249,7 +248,7 @@ class TestSpinTerm:
         # forced by the end-to-end identity at the worked instance
         scheme = scheme_for("II", 1)
         params = CaseIIParams(0, 1, 0, 0)
-        got = spin_term(scheme, params, [math.pi / 4])
+        got = SpinContraction(scheme, params.to_raw(1)).at([math.pi / 4])
         assert got == pytest.approx(-4.0, rel=1e-9)
 
     def test_case1_matches_closed_formula(self):
@@ -267,7 +266,7 @@ class TestSpinTerm:
                 con = SpinContraction(scheme, params.to_raw(n))
                 for _ in range(10):
                     q = sample_alcove(n, rng)
-                    closed = case1_spin_closed(n, params, q)
+                    closed = case1_spin_closed(n, params).at(q)
                     assert abs(con.at(q) - closed) / max(1, abs(closed)) <= 1e-9
 
     def test_case3_trivial_representation_vanishes(self):
@@ -385,13 +384,13 @@ class TestCouplings:
 
 class TestPotential:
     def test_n1_worked_value(self):
-        got = bc_potential((1, 1, 0), [math.pi / 4])
+        got = bc_potential((1, 1, 0)).at([math.pi / 4])
         assert got == pytest.approx(0.5, rel=1e-14)
 
     def test_pair_terms_absent_for_n1(self):
         q = [0.7]
         for a in (0, 1, 5):
-            assert bc_potential((a, 2, 1), q) == bc_potential((0, 2, 1), q)
+            assert bc_potential((a, 2, 1)).at(q) == bc_potential((0, 2, 1)).at(q)
 
     def test_cn_degeneration(self):
         # equal single-angle couplings merge into a pure double-angle channel
@@ -400,9 +399,9 @@ class TestPotential:
             for _ in range(5):
                 q = sample_alcove(n, rng)
                 a, b = 2, 3
-                merged = bc_potential((a, 0, 0), q) - bc_potential((0, 0, 0), q)
+                merged = bc_potential((a, 0, 0)).at(q) - bc_potential((0, 0, 0)).at(q)
                 merged += 2 * (b**2 - 0.25) * float(np.sum(1 / np.sin(2 * q) ** 2))
-                full = bc_potential((a, b, b), q)
+                full = bc_potential((a, b, b)).at(q)
                 assert abs(full - merged) / max(1, abs(full)) <= 1e-12
 
     def test_batch_matches_term_loop(self):
@@ -412,7 +411,7 @@ class TestPotential:
         a, b, c = 2, 3, 1
         for n in (1, 2, 3, 4):
             qs = np.array([sample_alcove(n, rng) for _ in range(5)])
-            for q, got in zip(qs, bc_potential((a, b, c), qs)):
+            for q, got in zip(qs, bc_potential((a, b, c)).at(qs)):
                 want = sum(a * (a + 1) / math.sin(q[l] + s * q[k]) ** 2
                            for k in range(n) for l in range(k + 1, n) for s in (-1, 1))
                 want += sum(0.5 * (b**2 - 0.25) / math.sin(x) ** 2
@@ -467,8 +466,8 @@ class TestVerifyReduction:
         con = SpinContraction(scheme, params.to_raw(n))
         coup = couplings(n, params)
         for q in wall_points(n, wall):
-            lhs = measure_factor(scheme, q) - con.at(q)
-            rhs = bc_potential(coup, q) + float(coup.constant)
+            lhs = measure_factor(scheme).at(q) - con.at(q)
+            rhs = bc_potential(coup).at(q) + float(coup.constant)
             assert abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)) <= 4e-15, q
 
     @pytest.mark.parametrize("case,n", [("I", 2), ("II", 2), ("III", 3)])
@@ -483,8 +482,8 @@ class TestVerifyReduction:
         for row in report.samples:
             q = sample_alcove(n, rng)
             assert row.q == tuple(q.tolist())
-            lhs = measure_factor(scheme, q) - con.at(q)
-            rhs = bc_potential(coup, q) + float(coup.constant)
+            lhs = measure_factor(scheme).at(q) - con.at(q)
+            rhs = bc_potential(coup).at(q) + float(coup.constant)
             assert row.lhs == pytest.approx(lhs, rel=1e-15, abs=0)
             assert row.rhs == pytest.approx(rhs, rel=1e-15, abs=0)
 

@@ -6,20 +6,25 @@ verify {basis,inertia,density,fock,reduction,all}
     Run one named suite and report pass/fail per check.
 enumerate
     Exhaust a raw parameter grid, predicting (and optionally brute-forcing)
-    the fixed-subspace dimension per cell.
+    the fixed subspace per cell: its dimension and its states.
 couplings
     Map ansatz parameters to Sutherland couplings (a, b, c), the additive
     constant, and the root-multiplicity triple.
 
 Exit status: 0 all checks pass, 1 a check failed or parameters are
 inadmissible, 2 usage or configuration error.  Status 2 covers --samples,
---n or --modes below 1, and --level, --gamma-max, --k-bound, --gamma,
---gamma-tilde or --gamma-hat below 0, and --n above polar.max_alcove_rank()
-(30) for the verify kinds that sample alcove points.  Above
-reduction.BRUTE_FORCE_DIM_GUARD the brute-force check reduction.admissible is
-a skip, not an error.  Reports can be written as JSON (--json) or CSV
-(--csv); identical configurations produce byte-identical JSON apart from the
-wall-clock field.
+--n or --modes below 1, and --level, --seed, --gamma-max, --k-bound, --gamma,
+--gamma-tilde or --gamma-hat below 0, --n above polar.max_alcove_rank() (30)
+for the verify kinds that sample alcove points, and enumerate --brute on a
+grid whose largest representation is above reduction.BRUTE_FORCE_DIM_GUARD.
+For verify, a representation above the guard makes the brute-force check
+reduction.admissible a skip, not an error.
+
+Every report is one envelope (schema_version, command, scheme, seed, status,
+wall_clock_s) around the command's sections, written as JSON (--json) or,
+for its checks or rows, as CSV (--csv) whose columns are the sorted keys of
+all rows; identical configurations produce byte-identical JSON apart from
+the wall-clock field.
 """
 
 from __future__ import annotations
@@ -72,38 +77,48 @@ def _within(name: str, err: float, tol: float, detail: str = "") -> Check:
     return Check(name, "pass" if err <= tol else "fail", err, tol, detail)
 
 
-def _jsonable(obj):
+def _exact(obj) -> str:
+    """JSON form of an exact rational: its string, as "-9/2"."""
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_report(report: dict, json_path: Optional[str], csv_path: Optional[str]):
-    payload = json.dumps(_jsonable(report), sort_keys=True, indent=1)
+    """Write the report as it is: JSON to json_path, its rows (or checks) as
+    CSV to csv_path, and the JSON to stdout when neither path is given.
+
+    Fractions become rational strings; the CSV header is the sorted union of
+    the row keys, and a key a row lacks is an empty cell.
+    """
+    payload = json.dumps(report, sort_keys=True, indent=1, default=_exact)
     if json_path:
         with open(json_path, "w") as fh:
             fh.write(payload + "\n")
     if csv_path:
-        rows = report.get("rows")
-        if rows is None:
-            rows = report.get("checks", [])
-        rows = [_jsonable(r) for r in rows]
+        rows = report.get("rows", report.get("checks", []))
         with open(csv_path, "w", newline="") as fh:
             if rows:
-                writer = csv.DictWriter(fh, fieldnames=sorted(rows[0]))
+                writer = csv.DictWriter(fh, fieldnames=sorted(set().union(*rows)))
                 writer.writeheader()
-                for row in rows:
-                    writer.writerow(row)
+                writer.writerows(rows)
     if not json_path and not csv_path:
         print(payload)
+
+
+def _emit(args, t0: float, command: str, scheme: Optional[Scheme], status: str,
+          **body) -> int:
+    """Write the report envelope around body; return the exit status."""
+    write_report({
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "scheme": scheme and {**vars(scheme), "N": scheme.N, "case": scheme.case_tag},
+        "seed": args.seed,
+        "status": status,
+        **body,
+        "wall_clock_s": time.perf_counter() - t0,
+    }, args.json, args.csv)
+    return EXIT_PASS if status == "pass" else EXIT_FAIL
 
 
 def _print_checks(checks: list[Check]) -> None:
@@ -296,9 +311,9 @@ def suite_reduction(scheme: Scheme, raw: RawParams, samples: int, tol: float,
             Check("reduction.admissible", "fail", detail=pred.reason or "")
         )
         return checks, None
-    dim, guard = reduction.rep_dim(scheme, raw), reduction.BRUTE_FORCE_DIM_GUARD
-    if dim > guard:  # the identity check below does not need the Fock space
-        status, note = "skip", f", dimension {dim} above the brute-force guard {guard}"
+    refusal = reduction.brute_force_refusal(scheme, raw.a1)
+    if refusal:  # the identity check below does not need the Fock space
+        status, note = "skip", f", {refusal}"
     else:
         brute = reduction.vk_bruteforce(scheme, raw)
         ok = brute.dimension == 1 and brute.states == pred.states
@@ -313,22 +328,12 @@ def suite_reduction(scheme: Scheme, raw: RawParams, samples: int, tol: float,
     if raw.case == "I":
         checks.append(_case1_spin_check(scheme, raw, np.random.default_rng(seed)))
 
-    coup = report.couplings
-    extra = {
-        "couplings": {"a": coup.a, "b": coup.b, "c": coup.c,
-                      "constant": coup.constant},
-        "mu": _mu_dict(coup),
-        "samples": [
-            {"q": list(s.q), "lhs": s.lhs, "rhs": s.rhs, "rel_err": s.rel_err}
-            for s in report.samples
-        ],
-    }
-    return checks, extra
+    return checks, {**_coupling_sections(report.couplings),
+                    "samples": [vars(s) for s in report.samples]}
 
 
-def _mu_dict(coup: reduction.Couplings) -> dict:
-    mu = reduction.mu_params(coup)
-    return {"pair": mu.pair, "short": mu.short, "long": mu.long}
+def _coupling_sections(coup: reduction.Couplings) -> dict:
+    return {"couplings": vars(coup), "mu": vars(reduction.mu_params(coup))}
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +402,7 @@ def check_ranges(args) -> None:
     """Reject count, size and occupation flags below their smallest
     meaningful value."""
     for name, low in (("samples", 1), ("n", 1), ("modes", 1), ("level", 0),
-                      ("gamma_max", 0), ("k_bound", 0), ("gamma", 0),
+                      ("seed", 0), ("gamma_max", 0), ("k_bound", 0), ("gamma", 0),
                       ("gamma_tilde", 0), ("gamma_hat", 0)):
         value = getattr(args, name, None)
         if value is not None and value < low:
@@ -437,20 +442,6 @@ def params_from_args(args) -> "reduction.KKSParams":
 
 class InadmissibleError(ValueError):
     """Parameters violate an admissibility condition; maps to exit 1."""
-
-
-def _params_dict(params) -> dict:
-    out = {"case": params.case}
-    for f in ("gamma", "gamma_tilde", "gamma_hat", "k", "k_l1", "k_l2",
-              "k_r1", "k_r2"):
-        if hasattr(params, f):
-            out[f] = getattr(params, f)
-    return out
-
-
-def _scheme_dict(s: Scheme) -> dict:
-    return {"m": s.m, "n": s.n, "r": s.r, "s": s.s, "N": s.N,
-            "case": s.case_tag}
 
 
 def cmd_verify(args) -> int:
@@ -494,22 +485,13 @@ def cmd_verify(args) -> int:
             checks += red_checks
             if red_extra:
                 extra.update(red_extra)
-            extra["params"] = _params_dict(params)
+            extra["params"] = {"case": params.case, **vars(params)}
 
     status = "pass" if all(c.status != "fail" for c in checks) else "fail"
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": f"verify {args.kind}",
-        "scheme": _scheme_dict(scheme) if scheme else None,
-        "seed": args.seed,
-        "checks": [vars(c) for c in checks],
-        "status": status,
-        **extra,
-        "wall_clock_s": time.perf_counter() - t0,
-    }
-    write_report(report, args.json, args.csv)
+    code = _emit(args, t0, f"verify {args.kind}", scheme, status,
+                 checks=[vars(c) for c in checks], **extra)
     _print_checks(checks)
-    return EXIT_PASS if status == "pass" else EXIT_FAIL
+    return code
 
 
 def cmd_enumerate(args) -> int:
@@ -517,65 +499,46 @@ def cmd_enumerate(args) -> int:
     size = reduction.grid_size(args.case, args.n, args.gamma_max, args.k_bound)
     if size > args.cap:
         raise UsageError(f"grid has {size} cells, cap is {args.cap}")
+    scheme = reduction.scheme_for(args.case, args.n)
+    # every a1 of the grid is at most gamma_max times the mode count
+    refusal = args.brute and reduction.brute_force_refusal(
+        scheme, args.gamma_max * reduction.big_modes(scheme))
+    if refusal:
+        raise UsageError(f"--brute: {refusal}")
     cells = reduction.enumerate_grid(
         args.case, args.n, args.gamma_max, args.k_bound, brute=args.brute)
     rows = []
     mismatches = 0
     for cell in cells:
-        row = {
-            "a1": cell.raw.a1,
-            "k_l1": cell.raw.k_l1, "k_l2": cell.raw.k_l2,
-            "k_r1": cell.raw.k_r1, "k_r2": cell.raw.k_r2,
-            "predicted_dim": cell.predicted.dimension,
-            "state": list(cell.predicted.states[0]) if cell.predicted.states else None,
-        }
+        states = cell.predicted.states
+        row = {**vars(cell.raw), "predicted_dim": cell.predicted.dimension,
+               "state": list(states[0]) if states else None}
+        del row["case"]
         if args.brute:
             row["brute_dim"] = cell.brute_dimension
-            if cell.brute_dimension != cell.predicted.dimension:
-                mismatches += 1
+            mismatches += ((cell.brute_dimension, cell.brute_states)
+                           != (cell.predicted.dimension, cell.predicted.states))
         if cell.couplings:
-            row.update(a=cell.couplings.a, b=cell.couplings.b, c=cell.couplings.c,
-                       constant=cell.couplings.constant)
+            row.update(vars(cell.couplings))
         rows.append(row)
     admissible = sum(1 for c in cells if c.predicted.dimension == 1)
-    status = "pass" if mismatches == 0 else "fail"
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "enumerate",
-        "scheme": _scheme_dict(reduction.scheme_for(args.case, args.n)),
-        "grid": {"gamma_max": args.gamma_max, "k_bound": args.k_bound,
-                 "cells": size, "admissible": admissible,
-                 "brute_mismatches": mismatches if args.brute else None},
-        "seed": args.seed,
-        "rows": rows,
-        "status": status,
-        "wall_clock_s": time.perf_counter() - t0,
-    }
-    write_report(report, args.json, args.csv)
+    grid = {"gamma_max": args.gamma_max, "k_bound": args.k_bound, "cells": size,
+            "admissible": admissible,
+            "brute_mismatches": mismatches if args.brute else None}
+    code = _emit(args, t0, "enumerate", scheme, "pass" if mismatches == 0 else "fail",
+                 grid=grid, rows=rows)
     print(f"{size} cells, {admissible} admissible"
           + (f", {mismatches} brute-force mismatches" if args.brute else ""),
           file=sys.stderr)
-    return EXIT_PASS if status == "pass" else EXIT_FAIL
+    return code
 
 
 def cmd_couplings(args) -> int:
     t0 = time.perf_counter()
     params = params_from_args(args)
-    coup = reduction.couplings(args.n, params)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "couplings",
-        "scheme": _scheme_dict(reduction.scheme_for(args.case, args.n)),
-        "params": _params_dict(params),
-        "couplings": {"a": coup.a, "b": coup.b, "c": coup.c,
-                      "constant": coup.constant},
-        "mu": _mu_dict(coup),
-        "seed": args.seed,
-        "status": "pass",
-        "wall_clock_s": time.perf_counter() - t0,
-    }
-    write_report(report, args.json, args.csv)
-    return EXIT_PASS
+    return _emit(args, t0, "couplings", reduction.scheme_for(args.case, args.n),
+                 "pass", params={"case": params.case, **vars(params)},
+                 **_coupling_sections(reduction.couplings(args.n, params)))
 
 
 def main(argv=None) -> int:

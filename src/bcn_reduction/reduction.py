@@ -221,9 +221,13 @@ def rep_space(scheme: Scheme, raw: RawParams) -> FockSpace:
     return fock_space(big_modes(scheme), raw.a1)
 
 
-def rep_dim(scheme: Scheme, raw: RawParams) -> int:
-    """Dimension of `rep_space`, without building it."""
-    return math.comb(raw.a1 + big_modes(scheme) - 1, raw.a1)
+def brute_force_refusal(scheme: Scheme, a1: int) -> Optional[str]:
+    """Why the brute-force kernels refuse degree a1 (its representation is
+    above BRUTE_FORCE_DIM_GUARD), or None when they accept it."""
+    dim = math.comb(a1 + big_modes(scheme) - 1, a1)
+    if dim > BRUTE_FORCE_DIM_GUARD:
+        return f"dimension {dim} above the brute-force guard {BRUTE_FORCE_DIM_GUARD}"
+    return None
 
 
 def _pair_action(
@@ -330,9 +334,9 @@ def vk_bruteforce(scheme: Scheme, raw: RawParams, method: str = "columns") -> VK
     stacked operators.
     """
     raw = to_raw(scheme, raw)
-    dim = rep_dim(scheme, raw)
-    if dim > BRUTE_FORCE_DIM_GUARD:
-        raise ValueError(f"representation dimension {dim} exceeds guard")
+    refusal = brute_force_refusal(scheme, raw.a1)
+    if refusal:
+        raise ValueError(refusal)
     if method == "columns":
         kgrid = np.array([[raw.k_l1, raw.k_l2, raw.k_r1, raw.k_r2]], dtype=float)
         nullity, states = _grid_nullity_batch(scheme, raw.a1, kgrid)
@@ -628,16 +632,22 @@ def enumerate_grid(
     gamma_max; each determinant power runs over [-k_bound, k_bound].  Cells
     are returned sorted by (a1, k_l1, k_l2, k_r1, k_r2).  With brute=True
     every cell also carries the brute-force kernel dimension and states.
+    Negative bounds, and with brute=True a largest a1 that
+    `brute_force_refusal` refuses, raise ValueError before any work.
     """
     for name, value in (("gamma_max", gamma_max), ("k_bound", k_bound)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
     scheme = scheme_for(case, n)
+    a1s = _a1_values(case, n, gamma_max)
+    refusal = brute and brute_force_refusal(scheme, a1s[-1])
+    if refusal:
+        raise ValueError(f"brute force at a1 = {a1s[-1]}: {refusal}")
     ks = range(-k_bound, k_bound + 1)
     ktuples = list(product(ks, ks, ks, ks))
     kgrid = np.array(ktuples, dtype=float)
     cells = []
-    for a1 in _a1_values(case, n, gamma_max):
+    for a1 in a1s:
         if brute:
             brute_dims, brute_states = _grid_nullity_batch(scheme, a1, kgrid)
         for idx, (kl1, kl2, kr1, kr2) in enumerate(ktuples):
@@ -699,6 +709,7 @@ __all__ = [
     "attainable_couplings",
     "bc_potential",
     "big_modes",
+    "brute_force_refusal",
     "case1_spin_closed",
     "couplings",
     "couplings_from_mu",
@@ -707,7 +718,6 @@ __all__ = [
     "max_or_nan",
     "mu_params",
     "params_from_raw",
-    "rep_dim",
     "rep_space",
     "rho_prime_pair",
     "scheme_for",

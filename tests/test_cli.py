@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from bcn_reduction import cli, polar
+from bcn_reduction import cli, polar, reduction
 from bcn_reduction.reduction import scheme_for
 
 
@@ -72,6 +73,10 @@ class TestExitCodes:
             ["verify", "reduction", "--case", "I", "--n", "31", "--gamma", "0",
              "--kl1", "0", "--kl2", "0", "--kr1", "0"],
             ["verify", "inertia", "--case", "III", "--n", "31"],
+            ["verify", "basis", "--case", "I", "--n", "1", "--seed", "-1"],
+            # largest representation C(27, 21) = 296,010, above the guard
+            ["enumerate", "--case", "III", "--n", "5", "--gamma-max", "3",
+             "--k-bound", "0", "--brute"],
         ],
     )
     def test_out_of_range_input_is_two(self, argv, capsys):
@@ -163,6 +168,44 @@ class TestReports:
         assert len(lines) > 2 and "name" in lines[0]
 
 
+    def test_report_schema(self, tmp_path, capsys):
+        def report(*argv):
+            path = tmp_path / "r.json"
+            assert cli.main([*argv, "--json", str(path)]) == 0
+            return json.loads(path.read_text())
+
+        envelope = {"command", "schema_version", "scheme", "seed", "status",
+                    "wall_clock_s"}
+        verify = report("verify", "all", "--case", "I", "--n", "2", "--gamma", "1",
+                        "--kl1", "1", "--kl2", "0", "--kr1", "0")
+        assert set(verify) == envelope | {"checks", "couplings", "mu", "params",
+                                          "samples"}
+        assert set(verify["scheme"]) == {"N", "case", "m", "n", "r", "s"}
+        assert set(verify["params"]) == {"case", "gamma", "k_l1", "k_l2", "k_r1"}
+        assert set(verify["couplings"]) == {"a", "b", "c", "constant"}
+        assert set(verify["mu"]) == {"long", "pair", "short"}
+        assert set(verify["samples"][0]) == {"lhs", "q", "rel_err", "rhs"}
+        assert set(verify["checks"][0]) == {"detail", "max_abs_err", "name",
+                                            "status", "tol"}
+
+        grid = report("enumerate", "--case", "II", "--n", "1", "--gamma-max", "1",
+                      "--k-bound", "1", "--brute")
+        assert set(grid) == envelope | {"grid", "rows"}
+        assert set(grid["grid"]) == {"admissible", "brute_mismatches", "cells",
+                                     "gamma_max", "k_bound"}
+        cell = {"a1", "brute_dim", "k_l1", "k_l2", "k_r1", "k_r2", "predicted_dim",
+                "state"}
+        rows = {row["predicted_dim"]: row for row in grid["rows"]}
+        assert set(rows[0]) == cell
+        assert set(rows[1]) == cell | {"a", "b", "c", "constant"}
+
+        coup = report("couplings", "--case", "III", "--n", "1", "--gamma", "1",
+                      "--gamma-tilde", "0", "--gamma-hat", "2", "--k", "0")
+        assert set(coup) == envelope | {"couplings", "mu", "params"}
+        assert set(coup["params"]) == {"case", "gamma", "gamma_hat", "gamma_tilde",
+                                       "k"}
+
+
 class TestStartup:
     def test_enumerate_and_reduction_do_not_import_scipy(self, tmp_path):
         # scipy builds the Fock-space oracle only; the CLI's own paths act
@@ -245,6 +288,38 @@ class TestEnumerateCommand:
         for row in admissible:
             assert row["b"] >= row["a"] + 1
             assert row["brute_dim"] == 1
+
+    def test_csv_has_every_cell(self, tmp_path):
+        # the first row is inadmissible, so later rows carry keys it lacks
+        argv = ["enumerate", "--case", "I", "--n", "1", "--gamma-max", "1",
+                "--k-bound", "1"]
+        assert cli.main(argv + ["--csv", str(tmp_path / "e.csv"),
+                                "--json", str(tmp_path / "e.json")]) == 0
+        report = json.loads((tmp_path / "e.json").read_text())
+        lines = (tmp_path / "e.csv").read_text().splitlines()
+        assert len(lines) == 1 + report["grid"]["cells"]
+        with open(tmp_path / "e.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["constant"] == ""
+        want = [r["constant"] for r in report["rows"] if r["predicted_dim"] == 1]
+        assert want
+        assert [r["constant"] for r in rows if r["predicted_dim"] == "1"] == want
+
+    def test_brute_state_mismatch_fails(self, tmp_path, monkeypatch, capsys):
+        # right kernel dimension, wrong kernel state
+        batch = reduction._grid_nullity_batch
+
+        def wrong_state(scheme, a1, kgrid):
+            nullity, states = batch(scheme, a1, kgrid)
+            return nullity, [tuple((st[0] + 1,) + st[1:] for st in row)
+                             for row in states]
+
+        monkeypatch.setattr(reduction, "_grid_nullity_batch", wrong_state)
+        out = tmp_path / "e.json"
+        argv = ["enumerate", "--case", "II", "--n", "1", "--gamma-max", "1",
+                "--k-bound", "1", "--brute", "--json", str(out)]
+        assert cli.main(argv) == 1
+        assert json.loads(out.read_text())["grid"]["brute_mismatches"] > 0
 
     def test_case3_rows_satisfy_coupling_bounds(self, tmp_path):
         out = tmp_path / "e.json"

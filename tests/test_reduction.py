@@ -522,6 +522,12 @@ class TestEnumeration:
         with pytest.raises(ValueError, match=name):
             enumerate_grid("I", 1, **{"gamma_max": 1, "k_bound": 1, **kwargs})
 
+    def test_brute_above_guard_rejected(self):
+        # a1 up to 21 in 7 modes: the largest representation has 296,010 states
+        with pytest.raises(ValueError, match="296010 above the brute-force guard"):
+            enumerate_grid("III", 5, gamma_max=3, k_bound=0, brute=True)
+        assert len(enumerate_grid("III", 5, gamma_max=3, k_bound=0)) == 22
+
     def test_rows_sorted(self):
         cells = enumerate_grid("I", 1, gamma_max=1, k_bound=1)
         keys = [

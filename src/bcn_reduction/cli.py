@@ -9,16 +9,18 @@ enumerate
     the fixed subspace per cell: its dimension and its states.
 couplings
     Map ansatz parameters to Sutherland couplings (a, b, c), the additive
-    constant, and the root-multiplicity triple.
+    constant, and the root-multiplicity triple.  Each case takes one flag per
+    field of its parameter class in reduction.CASES.
 
 Exit status: 0 all checks pass, 1 a check failed or parameters are
 inadmissible, 2 usage or configuration error.  Status 2 covers --samples,
 --n or --modes below 1, and --level, --seed, --gamma-max, --k-bound, --gamma,
 --gamma-tilde or --gamma-hat below 0, --n above polar.max_alcove_rank() (30)
-for the verify kinds that sample alcove points, and enumerate --brute on a
-grid whose largest representation is above reduction.BRUTE_FORCE_DIM_GUARD.
-For verify, a representation above the guard makes the brute-force check
-reduction.admissible a skip, not an error.
+for the verify kinds that sample alcove points, couplings --csv, and
+enumerate --brute or verify fock on a Fock space above
+reduction.BRUTE_FORCE_DIM_GUARD.  Inside verify reduction and verify all, a
+space above the guard makes the check it feeds (reduction.admissible, or the
+fock suite) a skip, not an error.
 
 Every report is one envelope (schema_version, command, scheme, seed, status,
 wall_clock_s) around the command's sections, written as JSON (--json) or,
@@ -35,7 +37,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -43,14 +45,7 @@ import numpy as np
 
 from . import algebra, fock, polar, reduction
 from .algebra import AlgebraPair, Scheme
-from .reduction import (
-    CaseIParams,
-    CaseIIParams,
-    CaseIIIParams,
-    DEFAULT_SEED,
-    RawParams,
-    max_or_nan,
-)
+from .reduction import CASES, DEFAULT_SEED, RawParams, max_or_nan
 
 SCHEMA_VERSION = 1
 
@@ -277,16 +272,25 @@ def suite_fock(modes: int, level: int) -> list[Check]:
         worst = max_or_nan(worst, float(np.abs(fock.gl_action(space, i, i + 1) @ top).max()))
     checks.append(_within("fock.highest_weight_annihilated", worst, 0.0))
 
-    worst = 0.0
+    # [b_i, b_j†] = delta_ij, in sparse form from ladder operators built once
+    from scipy import sparse
     up = fock.fock_space(modes, level + 1)
-    down = fock.fock_space(modes, level - 1) if level else None
+    ann_up = [fock.annihilation_op(up, i) for i in range(modes)]
+    cre = [fock.creation_op(space, j) for j in range(modes)]
+    if level:
+        down = fock.fock_space(modes, level - 1)
+        ann = [fock.annihilation_op(space, i) for i in range(modes)]
+        cre_down = [fock.creation_op(down, j) for j in range(modes)]
+    eye = sparse.identity(space.dim, format="csr")
+    worst = 0.0
     for i in range(modes):
         for j in range(modes):
-            comm = fock.annihilation_op(up, i) @ fock.creation_op(space, j)
-            if down is not None:
-                comm = comm - fock.creation_op(down, j) @ fock.annihilation_op(space, i)
-            want_op = np.eye(space.dim) if i == j else np.zeros((space.dim, space.dim))
-            worst = max_or_nan(worst, float(np.abs(comm.toarray() - want_op).max()))
+            comm = ann_up[i] @ cre[j]
+            if level:
+                comm = comm - cre_down[j] @ ann[i]
+            if i == j:
+                comm = comm - eye
+            worst = max_or_nan(worst, float(abs(comm).max()))
     checks.append(_within("fock.canonical_commutators", worst, 1e-12))
     return checks
 
@@ -311,7 +315,7 @@ def suite_reduction(scheme: Scheme, raw: RawParams, samples: int, tol: float,
             Check("reduction.admissible", "fail", detail=pred.reason or "")
         )
         return checks, None
-    refusal = reduction.brute_force_refusal(scheme, raw.a1)
+    refusal = reduction.brute_force_refusal(scheme.m, raw.a1)
     if refusal:  # the identity check below does not need the Fock space
         status, note = "skip", f", {refusal}"
     else:
@@ -346,15 +350,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
+def _dests(cls) -> list[str]:
+    """Flag destinations of a parameter class's fields: k_l1 is read from --kl1."""
+    return [f.name.replace("k_", "k") for f in fields(cls)]
+
+
 def _add_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=int)
-    p.add_argument("--gamma-tilde", type=int, dest="gamma_tilde")
-    p.add_argument("--gamma-hat", type=int, dest="gamma_hat")
-    p.add_argument("--k", type=int)
-    p.add_argument("--kl1", type=int)
-    p.add_argument("--kl2", type=int)
-    p.add_argument("--kr1", type=int)
-    p.add_argument("--kr2", type=int)
+    for dest in dict.fromkeys(d for cls in CASES.values() for d in _dests(cls)):
+        p.add_argument("--" + dest.replace("_", "-"), type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("kind",
                     choices=["basis", "inertia", "density", "fock",
                              "reduction", "all"])
-    pv.add_argument("--case", choices=["I", "II", "III"])
+    pv.add_argument("--case", choices=CASES)
     pv.add_argument("--n", type=int)
     pv.add_argument("--samples", type=int, default=20)
     pv.add_argument("--tol", type=float, default=1e-8)
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pv)
 
     pe = sub.add_parser("enumerate", help="exhaust an admissibility grid")
-    pe.add_argument("--case", choices=["I", "II", "III"], required=True)
+    pe.add_argument("--case", choices=CASES, required=True)
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--gamma-max", type=int, default=2, dest="gamma_max")
     pe.add_argument("--k-bound", type=int, default=1, dest="k_bound")
@@ -390,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pe)
 
     pc = sub.add_parser("couplings", help="map parameters to couplings")
-    pc.add_argument("--case", choices=["I", "II", "III"], required=True)
+    pc.add_argument("--case", choices=CASES, required=True)
     pc.add_argument("--n", type=int, required=True)
     _add_params(pc)
     _add_common(pc)
@@ -409,25 +412,16 @@ def check_ranges(args) -> None:
             raise UsageError(f"--{name.replace('_', '-')} must be >= {low}")
 
 
-#: per case: parameter class, its flags in constructor order, why the rest are fixed
-_CASE_FLAGS = {
-    "I": (CaseIParams, ["gamma", "kl1", "kl2", "kr1"],
-          "determinant powers must sum to zero"),
-    "II": (CaseIIParams, ["gamma", "gamma_tilde", "kr1", "kr2"],
-           "weight and central-character conditions"),
-    "III": (CaseIIIParams, ["gamma", "gamma_tilde", "gamma_hat", "k"],
-            "weight and central-character conditions"),
-}
-
-
 def params_from_args(args) -> "reduction.KKSParams":
     """Build case parameters from flags, validating any dependent powers.
 
+    The flags are the fields of the case's parameter class (`_dests`).
     Raises UsageError for missing flags and InadmissibleError (ValueError)
     when a supplied --kl1/--kl2/--kr1/--kr2 differs from the power the free
     parameters fix.
     """
-    cls, names, reason = _CASE_FLAGS[args.case]
+    cls = CASES[args.case]
+    names = _dests(cls)
     for name in names:
         if getattr(args, name) is None:
             raise UsageError(f"case {args.case} requires --{name.replace('_', '-')}")
@@ -436,7 +430,7 @@ def params_from_args(args) -> "reduction.KKSParams":
     for flag in ("kl1", "kl2", "kr1", "kr2"):
         got, want = getattr(args, flag), getattr(raw, "k_" + flag[1:])
         if got is not None and got != want:
-            raise InadmissibleError(f"--{flag} must equal {want} ({reason})")
+            raise InadmissibleError(f"--{flag} must equal {want} ({cls.reason})")
     return params
 
 
@@ -450,14 +444,18 @@ def cmd_verify(args) -> int:
     extra: dict = {}
     scheme = None
 
-    needs_scheme = args.kind in ("basis", "inertia", "density", "reduction", "all")
-    if needs_scheme:
+    if args.kind != "fock":
         if args.case is None or args.n is None:
             raise UsageError(f"verify {args.kind} requires --case and --n")
         if args.n > polar.max_alcove_rank():
             raise UsageError(f"--n must be <= {polar.max_alcove_rank()} for "
                              f"{polar.WALL_MARGIN}-spaced alcove samples")
         scheme = reduction.scheme_for(args.case, args.n)
+    if args.kind in ("fock", "all"):
+        modes = args.modes if args.kind == "fock" else scheme.m
+        fock_refusal = reduction.brute_force_refusal(modes, args.level)
+        if fock_refusal and args.kind == "fock":
+            raise UsageError(f"verify fock: {fock_refusal}")
 
     params = None
     if args.kind == "reduction" or (args.kind == "all" and args.gamma is not None):
@@ -471,10 +469,9 @@ def cmd_verify(args) -> int:
         checks += suite_inertia(scheme, rng, args.samples)
     if args.kind in ("density", "all"):
         checks += suite_density(scheme, rng, args.samples)
-    if args.kind == "fock" or args.kind == "all":
-        modes = args.modes if args.kind == "fock" else reduction.big_modes(scheme)
-        level = args.level
-        checks += suite_fock(modes, level)
+    if args.kind in ("fock", "all"):
+        checks += ([Check("fock", "skip", detail=fock_refusal)] if fock_refusal
+                   else suite_fock(modes, args.level))
     if args.kind in ("reduction", "all"):
         if params is None:
             checks.append(Check("reduction", "skip",
@@ -500,13 +497,11 @@ def cmd_enumerate(args) -> int:
     if size > args.cap:
         raise UsageError(f"grid has {size} cells, cap is {args.cap}")
     scheme = reduction.scheme_for(args.case, args.n)
-    # every a1 of the grid is at most gamma_max times the mode count
-    refusal = args.brute and reduction.brute_force_refusal(
-        scheme, args.gamma_max * reduction.big_modes(scheme))
-    if refusal:
-        raise UsageError(f"--brute: {refusal}")
-    cells = reduction.enumerate_grid(
-        args.case, args.n, args.gamma_max, args.k_bound, brute=args.brute)
+    try:  # the bounds are checked, so only the brute-force guard is left
+        cells = reduction.enumerate_grid(
+            args.case, args.n, args.gamma_max, args.k_bound, brute=args.brute)
+    except ValueError as exc:
+        raise UsageError(f"--brute: {exc}") from exc
     rows = []
     mismatches = 0
     for cell in cells:
@@ -535,6 +530,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_couplings(args) -> int:
     t0 = time.perf_counter()
+    if args.csv:
+        raise UsageError("couplings has no rows to write as CSV; use --json")
     params = params_from_args(args)
     return _emit(args, t0, "couplings", reduction.scheme_for(args.case, args.n),
                  "pass", params={"case": params.case, **vars(params)},

@@ -11,19 +11,21 @@ BC_n Sutherland Hamiltonian up to an additive constant:
         = bc_potential(couplings).at(q) + constant
 
 pointwise on the alcove (the kinetic parts agree identically); the closed
-forms are `RootSeries`.  This module hosts the parameter bookkeeping,
-closed-form and brute-force admissibility, the spin contraction, the
-coupling maps, and the end-to-end verification.
+forms are `RootSeries`.  This module hosts the parameter bookkeeping
+(`CASES` maps each case to its free-parameter class, whose fields span the
+grids and name the CLI flags and whose `to_raw` alone gives a1), closed-form
+and brute-force admissibility, the spin contraction, the coupling maps, and
+the end-to-end verification.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 import numpy as np
 
@@ -64,7 +66,7 @@ class RawParams:
     k_r2: int
 
     def __post_init__(self) -> None:
-        if self.case not in ("I", "II", "III"):
+        if self.case not in CASES:
             raise ValueError(f"unknown case {self.case!r}")
         if self.a1 < 0:
             raise ValueError("a1 must be non-negative")
@@ -84,6 +86,7 @@ class CaseIParams:
     k_l2: int
     k_r1: int
     case = "I"
+    reason = "determinant powers must sum to zero"
 
     def __post_init__(self) -> None:
         if self.gamma < 0:
@@ -110,6 +113,7 @@ class CaseIIParams:
     k_r1: int
     k_r2: int
     case = "II"
+    reason = "weight and central-character conditions"
 
     def __post_init__(self) -> None:
         if self.gamma < 0 or self.gamma_tilde < 0:
@@ -139,6 +143,7 @@ class CaseIIIParams:
     gamma_hat: int
     k: int
     case = "III"
+    reason = "weight and central-character conditions"
 
     def __post_init__(self) -> None:
         if min(self.gamma, self.gamma_tilde, self.gamma_hat) < 0:
@@ -159,6 +164,9 @@ class CaseIIIParams:
 
 
 KKSParams = Union[CaseIParams, CaseIIParams, CaseIIIParams]
+
+#: the free-parameter class of each case; `reason` says what fixes the rest
+CASES = {p.case: p for p in (CaseIParams, CaseIIParams, CaseIIIParams)}
 
 
 @dataclass(frozen=True)
@@ -195,18 +203,6 @@ def scheme_for(case: str, n: int) -> Scheme:
     return Scheme.of_case(case, n)
 
 
-def big_modes(scheme: Scheme) -> int:
-    """Mode count of the oscillator realization: the largest factor size."""
-    case = scheme.case_tag
-    if case == "I":
-        return scheme.n
-    if case == "II":
-        return scheme.n + 1
-    if case == "III":
-        return scheme.n + 2
-    raise ValueError("representation ansatz defined only for cases I, II, III")
-
-
 def to_raw(scheme: Scheme, params: "KKSParams | RawParams") -> RawParams:
     if isinstance(params, RawParams):
         raw = params
@@ -218,13 +214,14 @@ def to_raw(scheme: Scheme, params: "KKSParams | RawParams") -> RawParams:
 
 
 def rep_space(scheme: Scheme, raw: RawParams) -> FockSpace:
-    return fock_space(big_modes(scheme), raw.a1)
+    return fock_space(scheme.m, raw.a1)
 
 
-def brute_force_refusal(scheme: Scheme, a1: int) -> Optional[str]:
-    """Why the brute-force kernels refuse degree a1 (its representation is
-    above BRUTE_FORCE_DIM_GUARD), or None when they accept it."""
-    dim = math.comb(a1 + big_modes(scheme) - 1, a1)
+def brute_force_refusal(modes: int, a1: int) -> Optional[str]:
+    """Why the brute-force kernels refuse the level-a1 Fock space on `modes`
+    modes (its dimension is above BRUTE_FORCE_DIM_GUARD), or None when they
+    accept it."""
+    dim = math.comb(a1 + modes - 1, a1)
     if dim > BRUTE_FORCE_DIM_GUARD:
         return f"dimension {dim} above the brute-force guard {BRUTE_FORCE_DIM_GUARD}"
     return None
@@ -234,17 +231,17 @@ def _pair_action(
     scheme: Scheme, a1: int, pair: AlgebraPair
 ) -> tuple[np.ndarray, np.ndarray, complex]:
     """rho'(pair) as (z, traces, shift): z is the traceless part of the large
-    factor's block, traces the four factor traces, shift = (a1 mod modes) *
-    traces[slot] / modes.  With determinant powers k, on an occupation state
+    factor's block, traces the four factor traces, shift = (a1 mod m) *
+    traces[slot] / m.  The oscillator modes are the m of the scheme; the large
+    factor is the first left one when r = m (cases I, II) and the first right
+    one otherwise (case III).  With determinant powers k, on an occupation state
 
         rho'(pair)|l> = sum_{i != j} z_ij sqrt(l_j (l_i + 1)) |l + e_i - e_j>
                         + (diag(z).l + k.traces + shift) |l>
     """
     blocks = factor_split(scheme, pair)
-    modes = big_modes(scheme)
-    # index inside factor_split output: cases I/II use the first left factor,
-    # case III the first right factor
-    slot = 0 if scheme.case_tag in ("I", "II") else 2
+    modes = scheme.m
+    slot = 0 if scheme.r == modes else 2
     traces = np.array([np.trace(b) for b in blocks])
     z = blocks[slot] - (traces[slot] / modes) * np.eye(modes)
     return z, traces, (a1 % modes) * traces[slot] / modes
@@ -334,7 +331,7 @@ def vk_bruteforce(scheme: Scheme, raw: RawParams, method: str = "columns") -> VK
     stacked operators.
     """
     raw = to_raw(scheme, raw)
-    refusal = brute_force_refusal(scheme, raw.a1)
+    refusal = brute_force_refusal(scheme.m, raw.a1)
     if refusal:
         raise ValueError(refusal)
     if method == "columns":
@@ -570,15 +567,19 @@ class GridCell:
     couplings: Optional[Couplings] = None
 
 
+def _free_grid(case: str, gamma_max: int, k_bound: int) -> Iterator[KKSParams]:
+    """Every free-parameter set of one case: a gamma* field runs over
+    [0, gamma_max], any other field over [-k_bound, k_bound]."""
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}")
+    cls = CASES[case]
+    ranges = [range(gamma_max + 1) if f.name.startswith("gamma")
+              else range(-k_bound, k_bound + 1) for f in fields(cls)]
+    return (cls(*values) for values in product(*ranges))
+
+
 def _a1_values(case: str, n: int, gamma_max: int) -> list[int]:
-    gs = range(gamma_max + 1)
-    if case == "I":
-        vals = {g * n for g in gs}
-    elif case == "II":
-        vals = {g * n + gt for g in gs for gt in gs}
-    else:
-        vals = {g * n + gt + gh for g in gs for gt in gs for gh in gs}
-    return sorted(vals)
+    return sorted({p.to_raw(n).a1 for p in _free_grid(case, gamma_max, 0)})
 
 
 def grid_size(case: str, n: int, gamma_max: int, k_bound: int) -> int:
@@ -596,7 +597,7 @@ def _grid_nullity_batch(
     norms), then sweeps the scalar offsets over the whole k-grid at once.
     Returns the nullity per cell and, per cell, the kernel states.
     """
-    space = fock_space(big_modes(scheme), a1)
+    space = fock_space(scheme.m, a1)
     occ = space.occupations.astype(float)
     bases = []
     traces = []
@@ -640,9 +641,9 @@ def enumerate_grid(
             raise ValueError(f"{name} must be >= 0, got {value}")
     scheme = scheme_for(case, n)
     a1s = _a1_values(case, n, gamma_max)
-    refusal = brute and brute_force_refusal(scheme, a1s[-1])
+    refusal = brute and brute_force_refusal(scheme.m, a1s[-1])
     if refusal:
-        raise ValueError(f"brute force at a1 = {a1s[-1]}: {refusal}")
+        raise ValueError(refusal)
     ks = range(-k_bound, k_bound + 1)
     ktuples = list(product(ks, ks, ks, ks))
     kgrid = np.array(ktuples, dtype=float)
@@ -672,28 +673,13 @@ def attainable_couplings(
     case: str, n: int, gamma_max: int = 3, k_bound: int = 3
 ) -> set[tuple[int, int, int]]:
     """Coupling triples realized by the free-parameter grid of one case."""
-    ks = range(-k_bound, k_bound + 1)
-    gs = range(gamma_max + 1)
-    out: set[tuple[int, int, int]] = set()
-    if case == "I":
-        for g, kl1, kl2, kr1 in product(gs, ks, ks, ks):
-            c = couplings(n, CaseIParams(g, kl1, kl2, kr1))
-            out.add((c.a, c.b, c.c))
-    elif case == "II":
-        for g, gt, kr1, kr2 in product(gs, gs, ks, ks):
-            c = couplings(n, CaseIIParams(g, gt, kr1, kr2))
-            out.add((c.a, c.b, c.c))
-    elif case == "III":
-        for g, gt, gh, k in product(gs, gs, gs, ks):
-            c = couplings(n, CaseIIIParams(g, gt, gh, k))
-            out.add((c.a, c.b, c.c))
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    return out
+    coups = (couplings(n, p) for p in _free_grid(case, gamma_max, k_bound))
+    return {(c.a, c.b, c.c) for c in coups}
 
 
 __all__ = [
     "BRUTE_FORCE_DIM_GUARD",
+    "CASES",
     "CaseIParams",
     "CaseIIParams",
     "CaseIIIParams",
@@ -708,7 +694,6 @@ __all__ = [
     "SpinContraction",
     "attainable_couplings",
     "bc_potential",
-    "big_modes",
     "brute_force_refusal",
     "case1_spin_closed",
     "couplings",

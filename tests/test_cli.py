@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,11 @@ class TestExitCodes:
             # largest representation C(27, 21) = 296,010, above the guard
             ["enumerate", "--case", "III", "--n", "5", "--gamma-max", "3",
              "--k-bound", "0", "--brute"],
+            # C(37, 6) = 2,324,784 states, above the guard
+            ["verify", "fock", "--modes", "32", "--level", "6"],
+            # couplings has no rows to write as CSV
+            ["couplings", "--case", "I", "--n", "1", "--gamma", "1",
+             "--kl1", "1", "--kl2", "0", "--kr1", "0", "--csv", "c.csv"],
         ],
     )
     def test_out_of_range_input_is_two(self, argv, capsys):
@@ -261,6 +267,15 @@ class TestCouplingsCommand:
         assert report["couplings"]["constant"] == "-9/2"
 
 
+    def test_csv_is_refused_without_a_file(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        argv = ["couplings", "--case", "I", "--n", "1", "--gamma", "1",
+                "--kl1", "1", "--kl2", "0", "--kr1", "0", "--csv", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestEnumerateCommand:
     def test_case1_admissible_rows_have_zero_sum(self, tmp_path):
         out = tmp_path / "e.json"
@@ -349,6 +364,33 @@ class TestVerifyAll:
                 "density.measure_factor_fd", "fock.dimension"} <= names
         skipped = [c for c in report["checks"] if c["status"] == "skip"]
         assert skipped  # reduction skipped without parameters
+
+
+    def test_fock_above_guard_is_skipped(self, tmp_path, monkeypatch):
+        # two modes at level 6 span 7 states, above a guard of 5
+        monkeypatch.setattr(reduction, "BRUTE_FORCE_DIM_GUARD", 5)
+        out = tmp_path / "all.json"
+        argv = ["verify", "all", "--case", "II", "--n", "1", "--samples", "5",
+                "--json", str(out)]
+        assert cli.main(argv) == 0
+        checks = json.loads(out.read_text())["checks"]
+        fock = [c for c in checks if c["name"].startswith("fock")]
+        assert [(c["name"], c["status"]) for c in fock] == [("fock", "skip")]
+        assert "dimension 7" in fock[0]["detail"]
+
+
+class TestFockSuite:
+    def test_peak_memory_below_one_dense_operator(self):
+        # 8 modes at level 6 span 1,716 states; one dense complex operator on
+        # them is 1716^2 * 16 bytes = 47 MB
+        tracemalloc.start()
+        try:
+            checks = cli.suite_fock(8, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c.status == "pass" for c in checks)
+        assert peak < 1716**2 * 16
 
 
 class TestNonFinite:

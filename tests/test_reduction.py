@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bcn_reduction.algebra import AlgebraPair, random_antiherm
 from bcn_reduction.fock import fock_space
 from bcn_reduction.polar import build_kperp_basis, measure_factor, sample_alcove
+from bcn_reduction import reduction
 from bcn_reduction.reduction import (
     CaseIParams,
     CaseIIParams,
@@ -372,14 +373,15 @@ class TestCouplings:
         assert (mu.pair, mu.short, mu.long) == (2, 1, Fraction(1, 2))
 
     def test_params_from_raw_round_trip(self):
-        n = 2
-        for params in [
-            CaseIParams(2, 1, -1, 0),
-            CaseIIParams(1, 3, 2, -2),
-            CaseIIIParams(0, 2, 1, 1),
-        ]:
-            scheme = scheme_for(params.case, n)
-            assert params_from_raw(scheme, params.to_raw(n)) == params
+        # every free-parameter set with gamma <= 2 and |k| <= 1
+        gs, ks = range(3), range(-1, 2)
+        sets = [CaseIParams(*v) for v in product(gs, ks, ks, ks)]
+        sets += [CaseIIParams(*v) for v in product(gs, gs, ks, ks)]
+        sets += [CaseIIIParams(*v) for v in product(gs, gs, gs, ks)]
+        for n in (1, 2, 3):
+            for params in sets:
+                scheme = scheme_for(params.case, n)
+                assert params_from_raw(scheme, params.to_raw(n)) == params
 
 
 class TestPotential:
@@ -534,6 +536,23 @@ class TestEnumeration:
             (c.raw.a1, c.raw.k_l1, c.raw.k_l2, c.raw.k_r1, c.raw.k_r2) for c in cells
         ]
         assert keys == sorted(keys)
+
+    def test_a1_values_match_formulas(self):
+        # a1 = n gamma, n gamma + gamma~ and n gamma + gamma~ + gamma^
+        for n, gamma_max in product(range(1, 5), range(4)):
+            gs = range(gamma_max + 1)
+            want = {
+                "I": {n * g for g in gs},
+                "II": {n * g + gt for g in gs for gt in gs},
+                "III": {n * g + gt + gh for g in gs for gt in gs for gh in gs},
+            }
+            for case, a1s in want.items():
+                assert reduction._a1_values(case, n, gamma_max) == sorted(a1s)
+
+    def test_unknown_case_rejected(self):
+        for call in (reduction._a1_values, attainable_couplings):
+            with pytest.raises(ValueError, match="unknown case"):
+                call("IV", 1, 1)
 
     def test_attainable_box_small(self):
         box = set(product(range(3), repeat=3))

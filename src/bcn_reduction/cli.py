@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -79,14 +80,76 @@ def _exact(obj) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+#: the scalar types of a report; a container whose values all have one of
+#: them is encoded in one call
+_SCALARS = frozenset({str, int, float, bool, type(None), Fraction})
+
+
+@lru_cache(maxsize=None)
+def _depth_format(depth: int):
+    """json's C encoder for a container of scalars at nesting depth `depth`,
+    with the item separator indent=1 puts between its items there, and the
+    line break plus indent that starts each of those items."""
+    inner = "\n" + " " * (depth + 1)
+    encode = c_make_encoder(None, _exact, encode_basestring_ascii, None, ": ",
+                            "," + inner, True, False, True)
+    return encode, inner
+
+
+def _dump(obj, depth: int, out: list[str]) -> None:
+    """Append to out the JSON of obj at nesting depth `depth`, as
+    json.dumps(obj, sort_keys=True, indent=1, default=_exact) writes it.
+
+    A scalar, or a container whose values are all of a `_SCALARS` type, is
+    one call of json's C encoder with the separators of its depth; any other
+    container recurses here.  Dict keys are strings, as in every report.
+    """
+    encode, inner = _depth_format(depth)
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        out += encode(obj, 0)
+        return
+    if _SCALARS.issuperset(map(type, values)):
+        text = "".join(encode(obj, 0))
+        if values:  # indent=1 also breaks the line inside both brackets
+            out += (text[0], inner, text[1:-1], inner[:-1], text[-1])
+        else:
+            out.append(text)
+        return
+    sep = inner
+    if isinstance(obj, dict):
+        out.append("{")
+        for key, value in sorted(obj.items()):
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _dump(value, depth + 1, out)
+            sep = "," + inner
+        out += (inner[:-1], "}")
+    else:
+        out.append("[")
+        for value in obj:
+            out.append(sep)
+            _dump(value, depth + 1, out)
+            sep = "," + inner
+        out += (inner[:-1], "]")
+
+
 def write_report(report: dict, json_path: Optional[str], csv_path: Optional[str]):
     """Write the report as it is: JSON to json_path, its rows (or checks) as
     CSV to csv_path, and the JSON to stdout when neither path is given.
 
-    Fractions become rational strings; the CSV header is the sorted union of
-    the row keys, and a key a row lacks is an empty cell.
+    The JSON is byte for byte json.dumps(report, sort_keys=True, indent=1,
+    default=_exact), written by `_dump`, which hands every container of
+    scalars to json's C encoder (an indent keeps json.dumps itself on its
+    pure-Python encoder).  Fractions become rational strings; the CSV header
+    is the sorted union of the row keys, and a key a row lacks is an empty
+    cell.
     """
-    payload = json.dumps(report, sort_keys=True, indent=1, default=_exact)
+    out: list[str] = []
+    _dump(report, 0, out)
+    payload = "".join(out)
     if json_path:
         with open(json_path, "w") as fh:
             fh.write(payload + "\n")
@@ -502,21 +565,24 @@ def cmd_enumerate(args) -> int:
             args.case, args.n, args.gamma_max, args.k_bound, brute=args.brute)
     except ValueError as exc:
         raise UsageError(f"--brute: {exc}") from exc
-    rows = []
+    keys = ["a1", "k_l1", "k_l2", "k_r1", "k_r2", "predicted_dim"]
+    columns = [cells.labels, cells.dimension[:, None]]
     mismatches = 0
-    for cell in cells:
-        states = cell.predicted.states
-        row = {**vars(cell.raw), "predicted_dim": cell.predicted.dimension,
-               "state": list(states[0]) if states else None}
-        del row["case"]
-        if args.brute:
-            row["brute_dim"] = cell.brute_dimension
-            mismatches += ((cell.brute_dimension, cell.brute_states)
-                           != (cell.predicted.dimension, cell.predicted.states))
-        if cell.couplings:
-            row.update(vars(cell.couplings))
-        rows.append(row)
-    admissible = sum(1 for c in cells if c.predicted.dimension == 1)
+    if args.brute:
+        keys.append("brute_dim")
+        columns.append(cells.brute_dimension[:, None])
+        differ = cells.brute_dimension != cells.dimension
+        both = np.flatnonzero(~differ & (cells.dimension == 1))
+        mismatches = int(np.count_nonzero(differ))
+        mismatches += sum(cells.brute_states[i] != (tuple(state),) for i, state in
+                          zip(both.tolist(), cells.states[both].tolist()))
+    rows = [dict(zip(keys, values), state=None)
+            for values in np.hstack(columns).tolist()]
+    adm = np.flatnonzero(cells.dimension)
+    for i, state, (a, b, c, sixths) in zip(adm.tolist(), cells.states[adm].tolist(),
+                                           cells.couplings[adm].tolist()):
+        rows[i].update(state=state, a=a, b=b, c=c, constant=Fraction(sixths, 6))
+    admissible = len(adm)
     grid = {"gamma_max": args.gamma_max, "k_bound": args.k_bound, "cells": size,
             "admissible": admissible,
             "brute_mismatches": mismatches if args.brute else None}

@@ -21,6 +21,7 @@ the end-to-end verification.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
@@ -74,6 +75,11 @@ class RawParams:
     @property
     def k_sum(self) -> int:
         return self.k_l1 + self.k_l2 + self.k_r1 + self.k_r2
+
+    @property
+    def ks(self) -> tuple[int, int, int, int]:
+        """The determinant powers (k_l1, k_l2, k_r1, k_r2)."""
+        return self.k_l1, self.k_l2, self.k_r1, self.k_r2
 
 
 @dataclass(frozen=True)
@@ -261,9 +267,60 @@ def rho_prime_pair(
     raw = to_raw(scheme, raw)
     z, traces, shift = _pair_action(scheme, raw.a1, pair)
     space = rep_space(scheme, raw)
-    scalar = np.dot((raw.k_l1, raw.k_l2, raw.k_r1, raw.k_r2), traces) + shift
+    scalar = np.dot(raw.ks, traces) + shift
     eye = sparse.identity(space.dim, dtype=complex, format="csr")
     return (gl_matrix(space, z) + scalar * eye).tocsr()
+
+
+#: the closed-form admissibility conditions of each case, in the order
+#: `_admissibility` tests them; a cell reports the first one it fails
+_CONDITIONS = {
+    "I": ("a1 must be a multiple of n", "determinant powers must sum to zero"),
+    "II": ("a1 - (k_l2 + k_r2) must be divisible by n+1",
+           "occupation numbers would be negative", "central-character balance fails"),
+    "III": ("weight equation has no integer solution",
+            "occupation numbers would be negative", "central-character balance fails"),
+}
+
+
+def _admissibility(
+    case: str, n: int, a1: int, ks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form admissibility of every row of a (cells, 4) integer array of
+    determinant powers (k_l1, k_l2, k_r1, k_r2) at fixed a1.
+
+    Returns, per cell, the predicted fixed-subspace dimension (0 or 1), the
+    occupation state (cells, modes) -- the unique fixed state where the
+    dimension is 1 -- and the index in `_CONDITIONS[case]` of the first failed
+    condition (-1 where none fails).  An object-dtype `ks` keeps the
+    arithmetic exact for any Python int.
+    """
+    kl1, kl2, kr1, kr2 = ks.T
+    if case == "I":
+        gamma = np.full_like(kl1, a1 // n)
+        occ = [gamma] * n
+        conds = [gamma * n == a1, kl1 + kl2 + kr1 + kr2 == 0]
+    elif case == "II":
+        p = n + 1
+        kap1, kap2 = kl1 + kr1, kl2 + kr2
+        gamma = (a1 - kap2) // p
+        gamma_t = gamma + kap2
+        occ = [gamma] * n + [gamma_t]
+        conds = [(a1 - kap2) % p == 0, (gamma >= 0) & (gamma_t >= 0),
+                 a1 % p + p * kap1 + n * kap2 == 0]
+    else:
+        p = n + 2
+        num = a1 + n * (kl1 + kr2) - kl2 + kl1
+        gamma_h = num // p
+        gamma = gamma_h - kl1 - kr2
+        gamma_t = gamma_h + kl2 - kl1
+        occ = [gamma] * n + [gamma_t, gamma_h]
+        conds = [num % p == 0, (gamma >= 0) & (gamma_t >= 0) & (gamma_h >= 0),
+                 a1 % p + p * kr1 + (n + 1) * (kl1 + kl2) + n * kr2 == 0]
+    ok = np.array(conds, dtype=bool)
+    admissible = ok.all(axis=0)
+    failed = np.where(admissible, -1, np.argmin(ok, axis=0))
+    return admissible.astype(np.int64), np.stack(occ, axis=1), failed
 
 
 def vk_predicted(scheme: Scheme, raw: RawParams) -> VKResult:
@@ -271,43 +328,14 @@ def vk_predicted(scheme: Scheme, raw: RawParams) -> VKResult:
 
     Returns the predicted fixed-subspace dimension (0 or 1) and, when 1, the
     unique occupation state; `reason` names the first violated condition
-    otherwise.
+    otherwise.  This is `_admissibility` on a one-row object array.
     """
     raw = to_raw(scheme, raw)
-    n = scheme.n
-    if raw.case == "I":
-        if raw.a1 % n != 0:
-            return VKResult(0, reason="a1 must be a multiple of n")
-        if raw.k_sum != 0:
-            return VKResult(0, reason="determinant powers must sum to zero")
-        gamma = raw.a1 // n
-        return VKResult(1, ((gamma,) * n,))
-    if raw.case == "II":
-        p = n + 1
-        kap1 = raw.k_l1 + raw.k_r1
-        kap2 = raw.k_l2 + raw.k_r2
-        if (raw.a1 - kap2) % p != 0:
-            return VKResult(0, reason="a1 - (k_l2 + k_r2) must be divisible by n+1")
-        gamma = (raw.a1 - kap2) // p
-        gamma_t = gamma + kap2
-        if gamma < 0 or gamma_t < 0:
-            return VKResult(0, reason="occupation numbers would be negative")
-        if raw.a1 % p + p * kap1 + n * kap2 != 0:
-            return VKResult(0, reason="central-character balance fails")
-        return VKResult(1, ((gamma,) * n + (gamma_t,),))
-    # case III
-    p = n + 2
-    num = raw.a1 + n * (raw.k_l1 + raw.k_r2) - raw.k_l2 + raw.k_l1
-    if num % p != 0:
-        return VKResult(0, reason="weight equation has no integer solution")
-    gamma_h = num // p
-    gamma = gamma_h - raw.k_l1 - raw.k_r2
-    gamma_t = gamma_h + raw.k_l2 - raw.k_l1
-    if min(gamma, gamma_t, gamma_h) < 0:
-        return VKResult(0, reason="occupation numbers would be negative")
-    if raw.a1 % p + p * raw.k_r1 + (n + 1) * (raw.k_l1 + raw.k_l2) + n * raw.k_r2 != 0:
-        return VKResult(0, reason="central-character balance fails")
-    return VKResult(1, ((gamma,) * n + (gamma_t, gamma_h),))
+    dim, occ, failed = _admissibility(raw.case, scheme.n, raw.a1,
+                                      np.array([raw.ks], dtype=object))
+    if dim[0]:
+        return VKResult(1, (tuple(occ[0].tolist()),))
+    return VKResult(0, reason=_CONDITIONS[raw.case][failed[0]])
 
 
 def _stack_centralizer_ops(scheme: Scheme, raw: RawParams) -> list[np.ndarray]:
@@ -335,7 +363,7 @@ def vk_bruteforce(scheme: Scheme, raw: RawParams, method: str = "columns") -> VK
     if refusal:
         raise ValueError(refusal)
     if method == "columns":
-        kgrid = np.array([[raw.k_l1, raw.k_l2, raw.k_r1, raw.k_r2]], dtype=float)
+        kgrid = np.array([raw.ks], dtype=float)
         nullity, states = _grid_nullity_batch(scheme, raw.a1, kgrid)
         return VKResult(int(nullity[0]), states[0])
     if method != "svd":
@@ -380,13 +408,12 @@ class SpinContraction:
         self.state = vk.states[0]
         self.basis: KPerpBasis = build_kperp_basis(scheme)
         occ = np.array(self.state, dtype=float)
-        ks = (raw.k_l1, raw.k_l2, raw.k_r1, raw.k_r2)
         weights = np.empty(len(self.basis))
         for i in range(len(self.basis)):
             z, traces, shift = _pair_action(scheme, raw.a1, self.basis.pair(i))
             hops = np.abs(z) ** 2
             np.fill_diagonal(hops, 0.0)
-            diag = np.diagonal(z) @ occ + np.dot(ks, traces) + shift
+            diag = np.diagonal(z) @ occ + np.dot(raw.ks, traces) + shift
             # <v, op^2 v> = -|op v|^2 for anti-Hermitian op
             weights[i] = -float((occ + 1.0) @ hops @ occ + abs(diag) ** 2)
         self.weights = weights
@@ -405,45 +432,50 @@ def case1_spin_closed(n: int, params: CaseIParams) -> RootSeries:
                       -0.5 * n * (kl1 + kl2) ** 2)
 
 
+def _coupling_columns(case: str, n: int, free) -> tuple:
+    """Couplings a, b, c and 6 * constant of the free-parameter fields `free`
+    (ints, or int columns over cells); the constant is a whole number of
+    sixths.  With g = gamma, gt = gamma_tilde, gh = gamma_hat:
+
+        I    a = g, b = |k_l1 + k_r1|, c = |k_l2 + k_r1|,
+             constant = n (k_l1 + k_l2)^2/2 - n (2n-1)(2n+1)/6
+        II   a = g, b = g + gt + 1, c = |gt - g + k_r1 - k_r2|,
+             constant = n (k_r1 + k_r2)^2/2 + k_r1^2 - n (n+1)(2n+1)/3
+        III  a = g, b = g + gt + 1, c = g + gh + 1,
+             constant = -n (4n^2 + 12n + 11)/6 + n (2k + gt - gh)^2/2
+                        + (gt + k)(gt + k + 1) + (gh - k)(gh - k + 1)
+    """
+    if case == "I":
+        g, kl1, kl2, kr1 = free
+        return (g, abs(kl1 + kr1), abs(kl2 + kr1),
+                3 * n * (kl1 + kl2) ** 2 - n * (2 * n - 1) * (2 * n + 1))
+    if case == "II":
+        g, gt, kr1, kr2 = free
+        return (g, g + gt + 1, abs(gt - g + kr1 - kr2),
+                3 * n * (kr1 + kr2) ** 2 + 6 * kr1**2 - 2 * n * (n + 1) * (2 * n + 1))
+    if case == "III":
+        g, gt, gh, k = free
+        return (g, g + gt + 1, g + gh + 1,
+                -n * (4 * n**2 + 12 * n + 11) + 3 * n * (2 * k + gt - gh) ** 2
+                + 6 * (gt + k) * (gt + k + 1) + 6 * (gh - k) * (gh - k + 1))
+    raise ValueError(f"unknown case {case!r}")
+
+
 def couplings(n: int, params: KKSParams) -> Couplings:
     """Sutherland couplings and additive constant of an admissible family."""
-    if params.case == "I":
-        const = Fraction(n * (params.k_l1 + params.k_l2) ** 2, 2) - Fraction(
-            n * (2 * n - 1) * (2 * n + 1), 6
-        )
-        return Couplings(
-            a=params.gamma,
-            b=abs(params.k_l1 + params.k_r1),
-            c=abs(params.k_l2 + params.k_r1),
-            constant=const,
-        )
-    if params.case == "II":
-        const = (
-            Fraction(n * (params.k_r1 + params.k_r2) ** 2, 2)
-            + params.k_r1**2
-            - Fraction(n * (n + 1) * (2 * n + 1), 3)
-        )
-        return Couplings(
-            a=params.gamma,
-            b=params.gamma + params.gamma_tilde + 1,
-            c=abs(params.gamma_tilde - params.gamma + params.k_r1 - params.k_r2),
-            constant=const,
-        )
-    if params.case == "III":
-        gt, gh, k = params.gamma_tilde, params.gamma_hat, params.k
-        const = (
-            -Fraction(n * (4 * n**2 + 12 * n + 11), 6)
-            + Fraction(n * (2 * k + gt - gh) ** 2, 2)
-            + (gt + k) * (gt + k + 1)
-            + (gh - k) * (gh - k + 1)
-        )
-        return Couplings(
-            a=params.gamma,
-            b=params.gamma + gt + 1,
-            c=params.gamma + gh + 1,
-            constant=const,
-        )
-    raise ValueError(f"unknown case {params.case!r}")
+    a, b, c, sixths = _coupling_columns(params.case, n, vars(params).values())
+    return Couplings(a, b, c, Fraction(sixths, 6))
+
+
+def _free_fields(case: str, n: int, ks, occ) -> tuple:
+    """Fields of the free parameters of an admissible label set, in class
+    order, from its powers ks = (k_l1, k_l2, k_r1, k_r2) and its fixed
+    occupation state occ; the entries are ints, or columns over cells."""
+    if case == "I":
+        return occ[0], ks[0], ks[1], ks[2]
+    if case == "II":
+        return occ[0], occ[n], ks[2], ks[3]
+    return occ[0], occ[n], occ[n + 1], ks[0]
 
 
 def params_from_raw(scheme: Scheme, raw: RawParams) -> KKSParams:
@@ -451,13 +483,7 @@ def params_from_raw(scheme: Scheme, raw: RawParams) -> KKSParams:
     vk = vk_predicted(scheme, raw)
     if vk.dimension != 1:
         raise ValueError(f"parameters are not admissible: {vk.reason}")
-    state = vk.states[0]
-    n = scheme.n
-    if raw.case == "I":
-        return CaseIParams(state[0], raw.k_l1, raw.k_l2, raw.k_r1)
-    if raw.case == "II":
-        return CaseIIParams(state[0], state[n], raw.k_r1, raw.k_r2)
-    return CaseIIIParams(state[0], state[n], state[n + 1], raw.k_l1)
+    return CASES[raw.case](*_free_fields(raw.case, scheme.n, raw.ks, vk.states[0]))
 
 
 def mu_params(coup: Couplings) -> MuParams:
@@ -567,6 +593,43 @@ class GridCell:
     couplings: Optional[Couplings] = None
 
 
+@dataclass(frozen=True, eq=False)
+class Grid(Sequence):
+    """Every cell of one enumerated grid, as columns over the cells.
+
+    Indexing or iterating builds a `GridCell` per cell on demand; the columns
+    are what `enumerate` reports from.  Rows of `states` and `couplings` carry
+    meaning only where `dimension` is 1 (the couplings are 0 elsewhere).
+    """
+
+    case: str
+    n: int
+    labels: np.ndarray  # (cells, 5): a1, k_l1, k_l2, k_r1, k_r2
+    dimension: np.ndarray  # (cells,): predicted fixed-subspace dimension, 0 or 1
+    states: np.ndarray  # (cells, modes): the fixed occupation state
+    failed: np.ndarray  # (cells,): first failed condition (`_CONDITIONS`), or -1
+    couplings: np.ndarray  # (cells, 4): a, b, c and 6 * constant
+    brute_dimension: Optional[np.ndarray] = None  # (cells,) with brute=True
+    brute_states: Optional[list[tuple[tuple[int, ...], ...]]] = None  # per cell
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i: int) -> GridCell:
+        i = range(len(self))[i]
+        if self.dimension[i]:
+            predicted = VKResult(1, (tuple(self.states[i].tolist()),))
+            a, b, c, sixths = self.couplings[i].tolist()
+            coup = Couplings(a, b, c, Fraction(sixths, 6))
+        else:
+            predicted = VKResult(0, reason=_CONDITIONS[self.case][self.failed[i]])
+            coup = None
+        brute = self.brute_dimension is not None
+        return GridCell(RawParams(self.case, *self.labels[i].tolist()), predicted,
+                        int(self.brute_dimension[i]) if brute else None,
+                        self.brute_states[i] if brute else None, coup)
+
+
 def _free_grid(case: str, gamma_max: int, k_bound: int) -> Iterator[KKSParams]:
     """Every free-parameter set of one case: a gamma* field runs over
     [0, gamma_max], any other field over [-k_bound, k_bound]."""
@@ -578,24 +641,59 @@ def _free_grid(case: str, gamma_max: int, k_bound: int) -> Iterator[KKSParams]:
     return (cls(*values) for values in product(*ranges))
 
 
+def _a1_reach(case: str, n: int, gamma_max: int) -> np.ndarray:
+    """Indicator over 0 .. max a1 of the a1 values that occupation fields in
+    [0, gamma_max] reach.
+
+    `to_raw` makes a1 a sum c_1 g_1 + c_2 g_2 + ... over the gamma* fields;
+    c_i is the a1 of the set whose field i is 1 and whose others are 0.  Each
+    field widens the indicator of the sums reached so far by a window of
+    gamma_max + 1 steps of c_i (a running count per residue mod c_i), so no
+    (gamma_max + 1)^p walk over the field sets is made.
+    """
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}")
+    cls = CASES[case]
+    zero = {f.name: 0 for f in fields(cls)}
+    reach = np.ones(1, dtype=bool)
+    for name in zero:
+        if not name.startswith("gamma"):
+            continue
+        step = cls(**{**zero, name: 1}).to_raw(n).a1
+        size = reach.size + step * gamma_max
+        counts = np.zeros((-(-size // step), step), dtype=np.int64)
+        counts.ravel()[:reach.size] = reach
+        np.cumsum(counts, axis=0, out=counts)
+        hit = counts > 0
+        hit[gamma_max + 1:] = counts[gamma_max + 1:] > counts[:-(gamma_max + 1)]
+        reach = hit.ravel()[:size]
+    return reach
+
+
 def _a1_values(case: str, n: int, gamma_max: int) -> list[int]:
-    return sorted({p.to_raw(n).a1 for p in _free_grid(case, gamma_max, 0)})
+    return np.flatnonzero(_a1_reach(case, n, gamma_max)).tolist()
 
 
 def grid_size(case: str, n: int, gamma_max: int, k_bound: int) -> int:
-    return len(_a1_values(case, n, gamma_max)) * (2 * k_bound + 1) ** 4
+    return int(np.count_nonzero(_a1_reach(case, n, gamma_max))) * (2 * k_bound + 1) ** 4
+
+
+#: largest (cells, states) block `_grid_nullity_batch` holds at once, in elements
+_KERNEL_BLOCK = 1 << 20
 
 
 def _grid_nullity_batch(
     scheme: Scheme, a1: int, kgrid: np.ndarray
-) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+) -> tuple[np.ndarray, list[tuple[tuple[int, ...], ...]]]:
     """Brute-force nullities for every determinant-power tuple at fixed a1.
 
     Builds the diagonals of the centralizer operators from `_pair_action`
     (diagonal in the occupation basis for these cases, so the stacked
     operator has orthogonal columns and its singular values are the column
-    norms), then sweeps the scalar offsets over the whole k-grid at once.
-    Returns the nullity per cell and, per cell, the kernel states.
+    norms), then sweeps the scalar offsets over the k-grid in blocks of at
+    most _KERNEL_BLOCK (cell, state) pairs, adding the squared column norms
+    one operator at a time, so memory does not grow with the grid.  Returns
+    the nullity per cell and, per cell, the kernel states.
     """
     space = fock_space(scheme.m, a1)
     occ = space.occupations.astype(float)
@@ -609,15 +707,24 @@ def _grid_nullity_batch(
         bases.append(occ @ w.imag + shift.imag)
         traces.append(t.imag)
     base = np.array(bases)  # (n_ops, dim)
-    tmat = np.array(traces)  # (n_ops, 4)
-    offsets = kgrid @ tmat.T  # (cells, n_ops)
-    diag = offsets[:, :, None] + base[None, :, :]
-    svals = np.sqrt((diag**2).sum(axis=1))  # per-state singular values
-    tol = KERNEL_RTOL * np.maximum(svals.max(axis=1), 1.0)
-    null_mask = svals <= tol[:, None]
-    return null_mask.sum(axis=1), [
-        tuple(space.states[i] for i in np.flatnonzero(row)) for row in null_mask
-    ]
+    offsets = kgrid @ np.array(traces).T  # (cells, n_ops)
+    nullity = np.empty(len(kgrid), dtype=np.int64)
+    states: list[tuple[tuple[int, ...], ...]] = [()] * len(kgrid)
+    step = max(1, _KERNEL_BLOCK // space.dim)
+    for start in range(0, len(kgrid), step):
+        block = offsets[start:start + step]
+        sq = np.zeros((len(block), space.dim))
+        term = np.empty_like(sq)
+        for op, row in enumerate(base):
+            np.add(block[:, op, None], row, out=term)
+            sq += np.square(term, out=term)
+        svals = np.sqrt(sq, out=sq)  # per-state singular values
+        tol = KERNEL_RTOL * np.maximum(svals.max(axis=1), 1.0)
+        null_mask = svals <= tol[:, None]
+        nullity[start:start + step] = null_mask.sum(axis=1)
+        for cell, i in zip(*np.nonzero(null_mask)):
+            states[start + cell] += (space.states[i],)
+    return nullity, states
 
 
 def enumerate_grid(
@@ -626,15 +733,17 @@ def enumerate_grid(
     gamma_max: int = 3,
     k_bound: int = 3,
     brute: bool = False,
-) -> list[GridCell]:
-    """Exhaust the raw parameter grid of one case.
+) -> Grid:
+    """Exhaust the raw parameter grid of one case, as integer arrays.
 
     a1 runs over the values reachable from occupation parameters up to
     gamma_max; each determinant power runs over [-k_bound, k_bound].  Cells
-    are returned sorted by (a1, k_l1, k_l2, k_r1, k_r2).  With brute=True
-    every cell also carries the brute-force kernel dimension and states.
-    Negative bounds, and with brute=True a largest a1 that
-    `brute_force_refusal` refuses, raise ValueError before any work.
+    are sorted by (a1, k_l1, k_l2, k_r1, k_r2).  `_admissibility` classifies
+    every k-row at one a1 in one call, and the couplings of the admissible
+    cells come from its occupations.  With brute=True every cell also
+    carries the brute-force kernel dimension and states.  Negative bounds,
+    and with brute=True a largest a1 that `brute_force_refusal` refuses,
+    raise ValueError before any work.
     """
     for name, value in (("gamma_max", gamma_max), ("k_bound", k_bound)):
         if value < 0:
@@ -644,29 +753,21 @@ def enumerate_grid(
     refusal = brute and brute_force_refusal(scheme.m, a1s[-1])
     if refusal:
         raise ValueError(refusal)
-    ks = range(-k_bound, k_bound + 1)
-    ktuples = list(product(ks, ks, ks, ks))
-    kgrid = np.array(ktuples, dtype=float)
-    cells = []
-    for a1 in a1s:
-        if brute:
-            brute_dims, brute_states = _grid_nullity_batch(scheme, a1, kgrid)
-        for idx, (kl1, kl2, kr1, kr2) in enumerate(ktuples):
-            raw = RawParams(case, a1, kl1, kl2, kr1, kr2)
-            pred = vk_predicted(scheme, raw)
-            coup = None
-            if pred.dimension == 1:
-                coup = couplings(n, params_from_raw(scheme, raw))
-            cells.append(
-                GridCell(
-                    raw,
-                    pred,
-                    int(brute_dims[idx]) if brute else None,
-                    brute_states[idx] if brute else None,
-                    coup,
-                )
-            )
-    return cells
+    kgrid = np.array(list(product(range(-k_bound, k_bound + 1), repeat=4)))
+    columns = [_admissibility(case, n, a1, kgrid) for a1 in a1s]
+    dimension, states, failed = (np.concatenate(col) for col in zip(*columns))
+    labels = np.column_stack([np.repeat(a1s, len(kgrid)), np.tile(kgrid, (len(a1s), 1))])
+    adm = dimension == 1
+    coup = np.zeros((len(labels), 4), dtype=np.int64)
+    free = _free_fields(case, n, labels[adm, 1:].T, states[adm].T)
+    coup[adm] = np.column_stack(_coupling_columns(case, n, free))
+    brute_dimension = brute_states = None
+    if brute:
+        batches = [_grid_nullity_batch(scheme, a1, kgrid) for a1 in a1s]
+        brute_dimension = np.concatenate([nullity for nullity, _ in batches])
+        brute_states = [cell for _, states in batches for cell in states]
+    return Grid(case, n, labels, dimension, states, failed, coup,
+                brute_dimension, brute_states)
 
 
 def attainable_couplings(
@@ -685,6 +786,7 @@ __all__ = [
     "CaseIIIParams",
     "Couplings",
     "DEFAULT_SEED",
+    "Grid",
     "GridCell",
     "KKSParams",
     "MuParams",

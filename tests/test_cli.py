@@ -1,12 +1,18 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bcn_reduction import cli, polar, reduction
 from bcn_reduction.reduction import scheme_for
@@ -101,6 +107,25 @@ class TestExitCodes:
         assert status["reduction.admissible"]["status"] == "skip"
         assert "436270780" in status["reduction.admissible"]["detail"]
         assert status["reduction.identity_residual"]["status"] == "pass"
+
+    def test_huge_occupation_is_exact(self, tmp_path):
+        # a1 = 2 * 10^19 overflows int64; the state and the skip are exact
+        out = tmp_path / "r.json"
+        argv = ["verify", "reduction", "--case", "III", "--n", "2", "--gamma",
+                str(10**19), "--gamma-tilde", "0", "--gamma-hat", "2", "--k", "0",
+                "--json", str(out)]
+        assert cli.main(argv) == 0
+        check = json.loads(out.read_text())["checks"][0]
+        assert check["name"] == "reduction.admissible" and check["status"] == "skip"
+        assert check["detail"].startswith(f"state ({10**19}, {10**19}, 0, 2), ")
+
+    def test_cap_refusal_is_quick(self, capsys):
+        # 300,001 values of a1: the refusal must not walk the gamma grid
+        t0 = time.perf_counter()
+        code = cli.main(["enumerate", "--case", "III", "--n", "1", "--gamma-max",
+                         "100000", "--k-bound", "3", "--cap", "10"])
+        assert code == 2 and time.perf_counter() - t0 < 1.0
+        assert "grid has 720302401 cells, cap is 10" in capsys.readouterr().err
 
     def test_enumerate_cap_is_two(self):
         res = run_cli(
@@ -210,6 +235,40 @@ class TestReports:
         assert set(coup) == envelope | {"couplings", "mu", "params"}
         assert set(coup["params"]) == {"case", "gamma", "gamma_hat", "gamma_tilde",
                                        "k"}
+
+
+#: text with the characters the JSON string encoder escapes or that brackets
+#: and separators use, plus any other text
+TEXT = st.text(st.sampled_from('"\\\n\t[]{},: aé€😀\x00\x7f')) | st.text()
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+SCALARS = (st.none() | st.booleans() | st.integers() | TEXT | st.fractions()
+           | FLOATS | FLOATS.map(np.float64))
+JSON_TREES = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestReportWriter:
+    @given(report=st.dictionaries(TEXT, JSON_TREES, max_size=5))
+    @example(report={
+        "nan": math.nan, "inf": [math.inf, -math.inf], "fraction": Fraction(-9, 2),
+        "numpy": [np.float64(0.1), {"x": np.float64(-math.inf)}],
+        "tuple": (1, (2.5, "x")), "empty": [{}, [], (), {"e": {}}],
+        "text": ['quote " backslash \\ newline \n [bracket] {brace}', "é€😀"],
+        "rows": [{"a": 1, "state": None}, {"a": 2, "state": [0, 1]}],
+    })
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_indented_json_dumps(self, report):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/r.json"
+            cli.write_report(report, path, None)
+            with open(path, encoding="utf-8") as fh:
+                got = fh.read()
+        want = json.dumps(report, sort_keys=True, indent=1, default=cli._exact)
+        assert got == want + "\n"
 
 
 class TestStartup:
@@ -377,6 +436,28 @@ class TestVerifyAll:
         fock = [c for c in checks if c["name"].startswith("fock")]
         assert [(c["name"], c["status"]) for c in fock] == [("fock", "skip")]
         assert "dimension 7" in fock[0]["detail"]
+
+
+class TestEnumerateMemory:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak resident set from /proc")
+    def test_brute_force_peak_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # 38,416 cells against up to 3,876 states: one (cells x ops x states)
+        # temporary of this grid would be over 400 MB.  VmHWM is the peak of
+        # the child's own address space; ru_maxrss would also count the pages
+        # it shared with this process before exec.
+        code = (
+            "from bcn_reduction import cli\n"
+            "assert cli.main(['enumerate', '--case', 'III', '--n', '3', '--gamma-max',"
+            " '3', '--k-bound', '3', '--brute', '--json',"
+            f" {str(tmp_path / 'e.json')!r}]) == 0\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM')))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True)
+        assert res.returncode == 0, res.stderr
+        assert int(res.stdout) <= 250 * 1024  # kilobytes
 
 
 class TestFockSuite:

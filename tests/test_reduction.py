@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
 
@@ -13,12 +13,14 @@ from bcn_reduction.fock import fock_space
 from bcn_reduction.polar import build_kperp_basis, measure_factor, sample_alcove
 from bcn_reduction import reduction
 from bcn_reduction.reduction import (
+    CASES,
     CaseIParams,
     CaseIIParams,
     CaseIIIParams,
     Couplings,
     RawParams,
     SpinContraction,
+    VKResult,
     attainable_couplings,
     bc_potential,
     case1_spin_closed,
@@ -34,6 +36,43 @@ from bcn_reduction.reduction import (
     vk_bruteforce,
     vk_predicted,
 )
+
+
+def scalar_vk_predicted(n: int, raw: RawParams) -> VKResult:
+    """Closed-form admissibility of one cell, written as scalar formulas: the
+    loop reference of the array kernel `reduction._admissibility`."""
+    if raw.case == "I":
+        if raw.a1 % n != 0:
+            return VKResult(0, reason="a1 must be a multiple of n")
+        if raw.k_sum != 0:
+            return VKResult(0, reason="determinant powers must sum to zero")
+        gamma = raw.a1 // n
+        return VKResult(1, ((gamma,) * n,))
+    if raw.case == "II":
+        p = n + 1
+        kap1 = raw.k_l1 + raw.k_r1
+        kap2 = raw.k_l2 + raw.k_r2
+        if (raw.a1 - kap2) % p != 0:
+            return VKResult(0, reason="a1 - (k_l2 + k_r2) must be divisible by n+1")
+        gamma = (raw.a1 - kap2) // p
+        gamma_t = gamma + kap2
+        if gamma < 0 or gamma_t < 0:
+            return VKResult(0, reason="occupation numbers would be negative")
+        if raw.a1 % p + p * kap1 + n * kap2 != 0:
+            return VKResult(0, reason="central-character balance fails")
+        return VKResult(1, ((gamma,) * n + (gamma_t,),))
+    p = n + 2
+    num = raw.a1 + n * (raw.k_l1 + raw.k_r2) - raw.k_l2 + raw.k_l1
+    if num % p != 0:
+        return VKResult(0, reason="weight equation has no integer solution")
+    gamma_h = num // p
+    gamma = gamma_h - raw.k_l1 - raw.k_r2
+    gamma_t = gamma_h + raw.k_l2 - raw.k_l1
+    if min(gamma, gamma_t, gamma_h) < 0:
+        return VKResult(0, reason="occupation numbers would be negative")
+    if raw.a1 % p + p * raw.k_r1 + (n + 1) * (raw.k_l1 + raw.k_l2) + n * raw.k_r2 != 0:
+        return VKResult(0, reason="central-character balance fails")
+    return VKResult(1, ((gamma,) * n + (gamma_t, gamma_h),))
 
 
 class TestParamDerivations:
@@ -164,6 +203,43 @@ class TestRhoPrime:
         raw = CaseIIParams(1, 0, 0, 0).to_raw(2)
         with pytest.raises(ValueError):
             rho_prime_pair(scheme, raw, AlgebraPair(np.eye(5), np.eye(5)))
+
+
+class TestArrayAdmissibility:
+    def test_matches_scalar_reference_on_every_cell(self):
+        # all cases, n = 1..4, a1 = 0..3 modes + 3, every k in [-3, 3]^4
+        ks = np.array(list(product(range(-3, 4), repeat=4)))
+        for case, n in product(CASES, range(1, 5)):
+            conditions = reduction._CONDITIONS[case]
+            for a1 in range(3 * scheme_for(case, n).m + 4):
+                dim, occ, failed = reduction._admissibility(case, n, a1, ks)
+                for i, row in enumerate(ks.tolist()):
+                    want = scalar_vk_predicted(n, RawParams(case, a1, *row))
+                    assert dim[i] == want.dimension
+                    if want.dimension:
+                        assert (tuple(occ[i].tolist()),) == want.states
+                        assert failed[i] == -1
+                    else:
+                        assert conditions[failed[i]] == want.reason
+
+    @given(
+        case=st.sampled_from(sorted(CASES)),
+        n=st.integers(1, 6),
+        a1=st.integers(0, 10**30),
+        ks=st.tuples(*[st.integers(-10**30, 10**30)] * 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_row_path_exact_for_large_ints(self, case, n, a1, ks):
+        raw = RawParams(case, a1, *ks)
+        assert vk_predicted(scheme_for(case, n), raw) == scalar_vk_predicted(n, raw)
+
+    @given(data=st.data(), case=st.sampled_from(sorted(CASES)), n=st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_free_parameters_round_trip_for_large_ints(self, data, case, n):
+        cls = CASES[case]
+        free = cls(*(data.draw(st.integers(0, 10**20) if f.name.startswith("gamma")
+                               else st.integers(-10**20, 10**20)) for f in fields(cls)))
+        assert params_from_raw(scheme_for(case, n), free.to_raw(n)) == free
 
 
 class TestKernelComputation:
@@ -529,6 +605,25 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="296010 above the brute-force guard"):
             enumerate_grid("III", 5, gamma_max=3, k_bound=0, brute=True)
         assert len(enumerate_grid("III", 5, gamma_max=3, k_bound=0)) == 22
+
+    def test_kernel_blocks_leave_the_result_unchanged(self, monkeypatch):
+        # 56 states at a1 = 5 in 4 modes: blocks of 3 cells split the 625 rows
+        scheme = scheme_for("III", 2)
+        kgrid = np.array(list(product(range(-2, 3), repeat=4)))
+        nullity, states = reduction._grid_nullity_batch(scheme, 5, kgrid)
+        assert nullity.sum() > 0
+        monkeypatch.setattr(reduction, "_KERNEL_BLOCK", 200)
+        blocked = reduction._grid_nullity_batch(scheme, 5, kgrid)
+        assert np.array_equal(blocked[0], nullity) and blocked[1] == states
+
+    def test_cells_built_from_columns(self):
+        cells = enumerate_grid("III", 1, gamma_max=1, k_bound=1)
+        scheme = scheme_for("III", 1)
+        assert cells[-1] == cells[len(cells) - 1]
+        for cell in cells:
+            assert cell.predicted == vk_predicted(scheme, cell.raw)
+            if cell.couplings is not None:
+                assert cell.couplings == couplings(1, params_from_raw(scheme, cell.raw))
 
     def test_rows_sorted(self):
         cells = enumerate_grid("I", 1, gamma_max=1, k_bound=1)

@@ -10,6 +10,8 @@ in which all the distinguished subspaces are block-sparse.
 This module provides the gradation, the trace-form inner products, pairs of
 algebra elements for the two-sided symmetry, and the explicit radial torus
 (the flat section of the group action) with its closed-form exponential.
+The pair functions (`check_pair`, `factor_split`, `inner_y`, `pair_inner`)
+take stacks: components of shape (..., N, N), one element or a whole basis.
 
 All matrices are dense complex numpy arrays; N never exceeds ~16 in the
 supported schemes, so dense storage is both simplest and fastest.  Every
@@ -173,10 +175,13 @@ def grade_project(scheme: Scheme, x: np.ndarray, block: str) -> np.ndarray:
     return np.where(mask_l & mask_r, x, 0.0)
 
 
-def inner_y(x: np.ndarray, z: np.ndarray) -> float:
-    """Positive-definite invariant form -tr(xz) on u(N); real for u(N) inputs."""
-    val = -np.trace(x @ z)
-    return float(val.real)
+def inner_y(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Positive-definite invariant form -tr(xz) on u(N); real for u(N) inputs.
+
+    x and z are stacks (..., N, N) that broadcast against each other; the
+    result has their broadcast leading shape (a float for two matrices).
+    """
+    return -np.einsum("...ab,...ba->...", x, z).real
 
 
 @dataclass(frozen=True)
@@ -195,44 +200,49 @@ class AlgebraPair:
 
 
 def check_pair(scheme: Scheme, pair: AlgebraPair, tol: float = ANTIHERM_TOL) -> None:
-    """Reject pairs whose components leak outside the fixed-point subalgebras."""
-    for mat, (p, q), side in (
-        (pair.left, (scheme.r, scheme.s), "left"),
-        (pair.right, (scheme.m, scheme.n), "right"),
-    ):
-        mat = np.asarray(mat)
-        off = max(
-            np.abs(mat[:p, p:]).max() if p and q else 0.0,
-            np.abs(mat[p:, :p]).max() if p and q else 0.0,
-        )
-        scale = max(1.0, np.abs(mat).max()) if mat.size else 1.0
-        if off > tol * scale:
+    """Reject pairs whose components leak outside the fixed-point subalgebras.
+
+    Components may be stacks (..., N, N); each element is judged on its own,
+    against tol times its own largest entry (at least 1).
+    """
+    for mat, p, side in ((pair.left, scheme.r, "left"), (pair.right, scheme.m, "right")):
+        mat = np.abs(np.asarray(mat))
+        off = np.maximum(mat[..., :p, p:].max(axis=(-2, -1), initial=0.0),
+                         mat[..., p:, :p].max(axis=(-2, -1), initial=0.0))
+        bad = off > tol * mat.max(axis=(-2, -1), initial=1.0)
+        if np.any(bad):
             raise ValueError(
-                f"{side} component has off-block contamination {off:.3e}"
+                f"{side} component has off-block contamination {off[bad].max():.3e}"
             )
 
 
 def factor_split(
     scheme: Scheme, pair: AlgebraPair
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split a symmetry pair into its four unitary-factor blocks.
+    """Split a symmetry pair, or a stack of them, into its four unitary-factor
+    blocks.
 
     Returns (x_l1, x_l2, x_r1, x_r2) where x_l1 is the leading r x r block of
     the left component, x_l2 the trailing s x s block, x_r1 the leading
-    m x m block of the right component and x_r2 the trailing n x n block.
+    m x m block of the right component and x_r2 the trailing n x n block;
+    components of shape (..., N, N) give blocks of shape (..., r, r) and so on.
     """
     check_pair(scheme, pair)
     r, m = scheme.r, scheme.m
     return (
-        pair.left[:r, :r],
-        pair.left[r:, r:],
-        pair.right[:m, :m],
-        pair.right[m:, m:],
+        pair.left[..., :r, :r],
+        pair.left[..., r:, r:],
+        pair.right[..., :m, :m],
+        pair.right[..., m:, m:],
     )
 
 
-def pair_inner(p1: AlgebraPair, p2: AlgebraPair) -> float:
-    """Invariant form on the symmetry algebra: sum of the two trace forms."""
+def pair_inner(p1: AlgebraPair, p2: AlgebraPair) -> np.ndarray:
+    """Invariant form on the symmetry algebra: sum of the two trace forms.
+
+    Stacked components broadcast as in `inner_y`: pairs with components of
+    shape (k, 1, N, N) and (j, N, N) give the (k, j) matrix of the form.
+    """
     return inner_y(p1.left, p2.left) + inner_y(p1.right, p2.right)
 
 

@@ -15,9 +15,9 @@ couplings
 Exit status: 0 all checks pass, 1 a check failed or parameters are
 inadmissible, 2 usage or configuration error.  Status 2 covers --samples,
 --n or --modes below 1, and --level, --seed, --gamma-max, --k-bound, --gamma,
---gamma-tilde or --gamma-hat below 0, --n above polar.max_alcove_rank() (30)
-for the verify kinds that sample alcove points, couplings --csv, and
-enumerate --brute or verify fock on a Fock space above
+--gamma-tilde, --gamma-hat or --tol below 0, a NaN --tol, --n above
+polar.max_alcove_rank() (30) for the verify kinds that sample alcove points,
+couplings --csv, and enumerate --brute or verify fock on a Fock space above
 reduction.BRUTE_FORCE_DIM_GUARD.  Inside verify reduction and verify all, a
 space above the guard makes the check it feeds (reduction.admissible, or the
 fock suite) a skip, not an error.
@@ -215,19 +215,17 @@ def suite_basis(scheme: Scheme, rng: np.random.Generator) -> list[Check]:
     )
 
     m_basis = polar.build_m_basis(scheme)
-    worst = 0.0
-    for lmat in m_basis:
-        diag = AlgebraPair(lmat, lmat)
-        for i in range(len(basis)):
-            worst = max_or_nan(worst, abs(algebra.pair_inner(diag, basis.pair(i))))
+    column = m_basis[:, None]  # broadcasts against every orbit direction
+    inner = algebra.pair_inner(AlgebraPair(column, column),
+                               AlgebraPair(basis.left, basis.right))
+    worst = float(np.abs(inner).max(initial=0.0))
     checks.append(_within("basis.centralizer_orthogonality", worst, 1e-12))
 
     worst = 0.0
     for _ in range(5):
         q = polar.sample_alcove(scheme.n, rng)
         bfq = algebra.radial_embed(scheme, q)
-        for lmat in m_basis:
-            worst = max_or_nan(worst, float(np.abs(lmat @ bfq - bfq @ lmat).max()))
+        worst = max_or_nan(worst, float(np.abs(m_basis @ bfq - bfq @ m_basis).max()))
     checks.append(_within("basis.centralizer_commutes_with_radial", worst, 1e-13))
 
     # squared radial bracket multiplies each root vector by -root(q)^2, and
@@ -465,13 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def check_ranges(args) -> None:
-    """Reject count, size and occupation flags below their smallest
-    meaningful value."""
+    """Reject count, size, occupation and tolerance flags below their
+    smallest meaningful value, and a NaN --tol."""
     for name, low in (("samples", 1), ("n", 1), ("modes", 1), ("level", 0),
                       ("seed", 0), ("gamma_max", 0), ("k_bound", 0), ("gamma", 0),
-                      ("gamma_tilde", 0), ("gamma_hat", 0)):
+                      ("gamma_tilde", 0), ("gamma_hat", 0), ("tol", 0)):
         value = getattr(args, name, None)
-        if value is not None and value < low:
+        if value is not None and not value >= low:  # NaN is not >= low
             raise UsageError(f"--{name.replace('_', '-')} must be >= {low}")
 
 

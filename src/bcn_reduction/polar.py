@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .algebra import (
     Scheme,
     _angle_pairs,
     _angles,
+    pair_inner,
     radial_exp,
     u_basis,
 )
@@ -149,11 +151,8 @@ class KPerpBasis:
 
     def gram(self) -> np.ndarray:
         """Gram matrix under the symmetry-algebra form; identity if healthy."""
-        g = -(
-            np.einsum("iab,jba->ij", self.left, self.left)
-            + np.einsum("iab,jba->ij", self.right, self.right)
-        )
-        return g.real
+        return pair_inner(AlgebraPair(self.left[:, None], self.right[:, None]),
+                          AlgebraPair(self.left, self.right))
 
     def family_counts(self) -> dict[str, int]:
         counts = {f: 0 for f in FAMILIES}
@@ -162,161 +161,89 @@ class KPerpBasis:
         return counts
 
 
-def _embed(scheme: Scheme, bi: int, bj: int, small: np.ndarray) -> np.ndarray:
-    out = np.zeros((scheme.N, scheme.N), dtype=complex)
-    sl = scheme.block_slices()
-    out[sl[bi], sl[bj]] = small
-    return out
+def _generators(scheme: Scheme, specs) -> np.ndarray:
+    """Flavored generators of u(N) in the 4x4 block layout, one per
+    (flavor, divisor, slots) spec, stacked as (len(specs), N, N).
+
+    Each slot ((bx, x), (by, y), sign) names entry x of block bx and entry y
+    of block by (0-based) and adds sign (E_xy - E_yx) for flavor "r" or
+    sign i (E_xy + E_yx) for flavor "i"; a diagonal slot (x = y, flavor "i")
+    is the single entry sign i.  Entries are written as sign or
+    complex(0, sign), so every zero is +0, and the one division of each
+    generator by its divisor is the only arithmetic.
+    """
+    out = np.zeros((len(specs), scheme.N, scheme.N), dtype=complex)
+    start = np.cumsum((0,) + scheme.block_sizes)
+    for mat, (flavor, _, slots) in zip(out, specs):
+        for (bx, x), (by, y), sign in slots:
+            a, b = start[bx] + x, start[by] + y
+            if flavor == "r":
+                mat[a, b], mat[b, a] = sign, -sign
+            else:
+                mat[a, b] = mat[b, a] = complex(0, sign)
+    return out / np.array([divisor for _, divisor, _ in specs]).reshape(-1, 1, 1)
 
 
-def _unit(p: int, q: int, a: int, b: int) -> np.ndarray:
-    e = np.zeros((p, q), dtype=complex)
-    e[a, b] = 1.0
-    return e
-
-
-def build_m_basis(scheme: Scheme) -> list[np.ndarray]:
-    """Orthonormal basis of the centralizer Lie algebra inside u(N).
+def build_m_basis(scheme: Scheme) -> np.ndarray:
+    """Orthonormal basis of the centralizer Lie algebra inside u(N), stacked
+    as a (dim_centralizer, N, N) array like `KPerpBasis.left`.
 
     Torus directions first: for j = 1..n the matrix with (i/sqrt 2) E_jj in
-    both the first and the last diagonal block.  Then a u(r-n) basis in the
-    second block and a u(s-n) basis in the third.  Every element commutes
+    both the first and the last diagonal block.  Then `u_basis(r-n)` in the
+    second block and `u_basis(s-n)` in the third.  Every element commutes
     with the radial generators.
     """
-    n = scheme.n
-    out = []
-    for j in range(n):
-        e = _embed(scheme, 0, 0, 1j * _unit(n, n, j, j)) + _embed(
-            scheme, 3, 3, 1j * _unit(n, n, j, j)
-        )
-        out.append(e / SQ2)
-    for bi, p in ((1, scheme.r - n), (2, scheme.s - n)):
-        for small in u_basis(p):
-            out.append(_embed(scheme, bi, bi, small))
-    return out
-
-
-def _pair_root_list(n: int) -> list[Root]:
-    roots = []
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            roots.append(Root("diff", k, l))
-            roots.append(Root("sum", k, l))
-    return roots
-
-
-def _e_family(scheme: Scheme) -> list[tuple[Root, str, tuple[int, ...], np.ndarray]]:
-    """Labeled orthonormal basis of the centralizer complement inside the
-    (+,+) gradation block; one entry per (root, flavor, degeneracy)."""
-    n, rn = scheme.n, scheme.r - scheme.n
-    ent = []
-    for root in _pair_root_list(n):
-        k, l = root.k - 1, root.l - 1
-        asym = _unit(n, n, k, l) - _unit(n, n, l, k)
-        sym = _unit(n, n, k, l) + _unit(n, n, l, k)
-        if root.kind == "diff":
-            mr = (_embed(scheme, 0, 0, asym) + _embed(scheme, 3, 3, asym)) / 2
-            mi = (_embed(scheme, 0, 0, 1j * sym) + _embed(scheme, 3, 3, 1j * sym)) / 2
-        else:
-            mr = (_embed(scheme, 0, 0, asym) - _embed(scheme, 3, 3, asym)) / 2
-            mi = (_embed(scheme, 0, 0, 1j * sym) - _embed(scheme, 3, 3, 1j * sym)) / 2
-        ent.append((root, "r", (), mr))
-        ent.append((root, "i", (), mi))
-    for j in range(1, n + 1):
-        diag = 1j * _unit(n, n, j - 1, j - 1)
-        m = (_embed(scheme, 0, 0, diag) - _embed(scheme, 3, 3, diag)) / SQ2
-        ent.append((Root("long", j), "i", (), m))
-    for j in range(1, n + 1):
-        for flavor in ("r", "i"):
-            for d in range(1, rn + 1):
-                ejd = _unit(n, rn, j - 1, d - 1)
-                edj = _unit(rn, n, d - 1, j - 1)
-                if flavor == "r":
-                    m = (_embed(scheme, 0, 1, ejd) - _embed(scheme, 1, 0, edj)) / SQ2
-                else:
-                    m = (
-                        _embed(scheme, 0, 1, 1j * ejd) + _embed(scheme, 1, 0, 1j * edj)
-                    ) / SQ2
-                ent.append((Root("short", j), flavor, (d,), m))
-    return ent
-
-
-def _tilde_e(scheme: Scheme, j: int, d: int, flavor: str) -> np.ndarray:
-    """Basis matrix of the (+,-) gradation block at short root q_j."""
-    n, sn = scheme.n, scheme.s - scheme.n
-    edj = _unit(sn, n, d - 1, j - 1)
-    ejd = _unit(n, sn, j - 1, d - 1)
-    if flavor == "r":
-        return (_embed(scheme, 2, 3, edj) - _embed(scheme, 3, 2, ejd)) / SQ2
-    return (_embed(scheme, 2, 3, 1j * edj) + _embed(scheme, 3, 2, 1j * ejd)) / SQ2
-
-
-def _tilde_f(scheme: Scheme, j: int, d: int, flavor: str) -> np.ndarray:
-    """Partner matrix of `_tilde_e` inside the (-,+) gradation block."""
-    n, sn = scheme.n, scheme.s - scheme.n
-    ejd = _unit(n, sn, j - 1, d - 1)
-    edj = _unit(sn, n, d - 1, j - 1)
-    if flavor == "r":
-        return (-_embed(scheme, 0, 2, ejd) + _embed(scheme, 2, 0, edj)) / SQ2
-    return (_embed(scheme, 0, 2, 1j * ejd) + _embed(scheme, 2, 0, 1j * edj)) / SQ2
-
-
-def _tilde_f0(scheme: Scheme, c: int, d: int, flavor: str) -> np.ndarray:
-    """Radially inert directions of the (-,+) block, indexed by (c, d)."""
-    rn, sn = scheme.r - scheme.n, scheme.s - scheme.n
-    ecd = _unit(rn, sn, c - 1, d - 1)
-    edc = _unit(sn, rn, d - 1, c - 1)
-    if flavor == "r":
-        return (_embed(scheme, 1, 2, ecd) - _embed(scheme, 2, 1, edc)) / SQ2
-    return (_embed(scheme, 1, 2, 1j * ecd) + _embed(scheme, 2, 1, 1j * edc)) / SQ2
+    parts = [_generators(scheme, [("i", SQ2, [((0, j), (0, j), 1), ((3, j), (3, j), 1)])
+                                  for j in range(scheme.n)])]
+    for block in (1, 2):
+        p, sl = scheme.block_sizes[block], scheme.block_slices()[block]
+        parts.append(np.zeros((p * p, scheme.N, scheme.N), dtype=complex))
+        parts[-1][:, sl, sl] = np.reshape(u_basis(p), (p * p, p, p))
+    return np.concatenate(parts)
 
 
 def build_kperp_basis(scheme: Scheme) -> KPerpBasis:
     """Construct the labeled orthonormal basis of the orbit directions.
 
     The basis diagonalizes the inertia operator at every interior alcove
-    point; see the module docstring for the ordering contract.
+    point; see the module docstring for the ordering contract.  V and W
+    share the generators e of the (+,+) gradation block outside the
+    centralizer; Vt and Wt pair those of the (+,-) block with their partners
+    in the (-,+) block (t); Z0 holds the radially inert directions of the
+    (-,+) block (z).  A row of e, t or z is the label fields (root, flavor,
+    block) of one generator, then its `_generators` spec (and its
+    partner's).
     """
-    n = scheme.n
-    zero = np.zeros((scheme.N, scheme.N), dtype=complex)
-    labels: list[BasisLabel] = []
-    lefts: list[np.ndarray] = []
-    rights: list[np.ndarray] = []
+    n, rn, sn = scheme.n, scheme.r - scheme.n, scheme.s - scheme.n
+    pairs = product(combinations(range(n), 2), (("diff", 1), ("sum", -1)), "ri")
+    e = [((Root(kind, k + 1, l + 1), f, ()), (f, 2, [((0, k), (0, l), 1), ((3, k), (3, l), sign)]))
+         for (k, l), (kind, sign), f in pairs]
+    e += [((Root("long", j + 1), "i", ()), ("i", SQ2, [((0, j), (0, j), 1), ((3, j), (3, j), -1)]))
+          for j in range(n)]
+    e += [((Root("short", j + 1), f, (d + 1,)), (f, SQ2, [((0, j), (1, d), 1)]))
+          for j, f, d in product(range(n), "ri", range(rn))]
+    t = [((Root("short", j + 1), f, (d + 1,)), (f, SQ2, [((2, d), (3, j), 1)]),
+          (f, SQ2, [((2, d), (0, j), 1)])) for j, f, d in product(range(n), "ri", range(sn))]
+    z = [((Root("zero"), f, (c + 1, d + 1)), (f, SQ2, [((1, c), (2, d), 1)]))
+         for f, c, d in product("ri", range(rn), range(sn))]
 
-    for j, lmat in enumerate(build_m_basis(scheme), start=1):
-        labels.append(BasisLabel("hatL", Root("zero"), "", (j,)))
-        lefts.append(lmat / SQ2)
-        rights.append(-lmat / SQ2)
-
-    e_entries = _e_family(scheme)
-    for family, sign in (("V", 1.0), ("W", -1.0)):
-        for root, flavor, block, mat in e_entries:
-            labels.append(BasisLabel(family, root, flavor, block))
-            lefts.append(mat / SQ2)
-            rights.append(sign * mat / SQ2)
-
-    sn, rn = scheme.s - n, scheme.r - n
-    for family, sign in (("Vt", 1.0), ("Wt", -1.0)):
-        for j in range(1, n + 1):
-            for flavor in ("r", "i"):
-                for d in range(1, sn + 1):
-                    labels.append(BasisLabel(family, Root("short", j), flavor, (d,)))
-                    lefts.append(_tilde_e(scheme, j, d, flavor) / SQ2)
-                    rights.append(sign * _tilde_f(scheme, j, d, flavor) / SQ2)
-
-    for flavor in ("r", "i"):
-        for c in range(1, rn + 1):
-            for d in range(1, sn + 1):
-                labels.append(BasisLabel("Z0", Root("zero"), flavor, (c, d)))
-                lefts.append(zero)
-                rights.append(_tilde_f0(scheme, c, d, flavor))
-
+    hat = build_m_basis(scheme)
+    h = [((Root("zero"), "", (j,)),) for j in range(1, len(hat) + 1)]
+    ge, gt, gf, gz = (_generators(scheme, [row[col] for row in rows])
+                      for rows, col in ((e, 1), (t, 1), (t, 2), (z, 1)))
+    # +-1.0 * x, a complex product, keeps zeros +0 where -x would flip them
+    families = (("hatL", h, hat / SQ2, -hat / SQ2),
+                ("V", e, ge / SQ2, 1.0 * ge / SQ2), ("W", e, ge / SQ2, -1.0 * ge / SQ2),
+                ("Vt", t, gt / SQ2, 1.0 * gf / SQ2), ("Wt", t, gt / SQ2, -1.0 * gf / SQ2),
+                ("Z0", z, np.zeros_like(gz), gz))
+    labels = [BasisLabel(family, *row[0]) for family, rows, _, _ in families for row in rows]
     expected = scheme.dim_g - scheme.dim_centralizer
     if len(labels) != expected:
         raise AssertionError(
             f"basis size {len(labels)} != dim G - dim K = {expected}"
         )
-    return KPerpBasis(scheme, labels, np.array(lefts), np.array(rights))
+    left, right = (np.concatenate([fam[i] for fam in families]) for i in (2, 3))
+    return KPerpBasis(scheme, labels, left, right)
 
 
 def inertia_matrix(scheme: Scheme, basis: KPerpBasis, pt) -> np.ndarray:

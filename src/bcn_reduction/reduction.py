@@ -235,7 +235,7 @@ def brute_force_refusal(modes: int, a1: int) -> Optional[str]:
 
 def _pair_action(
     scheme: Scheme, a1: int, pair: AlgebraPair
-) -> tuple[np.ndarray, np.ndarray, complex]:
+) -> tuple[np.ndarray, np.ndarray, "complex | np.ndarray"]:
     """rho'(pair) as (z, traces, shift): z is the traceless part of the large
     factor's block, traces the four factor traces, shift = (a1 mod m) *
     traces[slot] / m.  The oscillator modes are the m of the scheme; the large
@@ -244,13 +244,17 @@ def _pair_action(
 
         rho'(pair)|l> = sum_{i != j} z_ij sqrt(l_j (l_i + 1)) |l + e_i - e_j>
                         + (diag(z).l + k.traces + shift) |l>
+
+    The pair may be a stack, components (..., N, N), such as a whole basis:
+    then z has shape (..., m, m), traces (..., 4) and shift (...).
     """
     blocks = factor_split(scheme, pair)
     modes = scheme.m
     slot = 0 if scheme.r == modes else 2
-    traces = np.array([np.trace(b) for b in blocks])
-    z = blocks[slot] - (traces[slot] / modes) * np.eye(modes)
-    return z, traces, (a1 % modes) * traces[slot] / modes
+    traces = np.stack([np.trace(b, axis1=-2, axis2=-1) for b in blocks], axis=-1)
+    lead = traces[..., slot]
+    z = blocks[slot] - (lead / modes)[..., None, None] * np.eye(modes)
+    return z, traces, (a1 % modes) * lead / modes
 
 
 def rho_prime_pair(
@@ -338,15 +342,6 @@ def vk_predicted(scheme: Scheme, raw: RawParams) -> VKResult:
     return VKResult(0, reason=_CONDITIONS[raw.case][failed[0]])
 
 
-def _stack_centralizer_ops(scheme: Scheme, raw: RawParams) -> list[np.ndarray]:
-    """Dense operators of the diagonally embedded centralizer basis."""
-    ops = []
-    for lmat in build_m_basis(scheme):
-        op = rho_prime_pair(scheme, raw, AlgebraPair(lmat, lmat))
-        ops.append(op.toarray())
-    return ops
-
-
 def vk_bruteforce(scheme: Scheme, raw: RawParams, method: str = "columns") -> VKResult:
     """Fixed-subspace dimension by direct kernel computation.
 
@@ -370,7 +365,8 @@ def vk_bruteforce(scheme: Scheme, raw: RawParams, method: str = "columns") -> VK
         raise ValueError(f"unknown method {method!r}")
 
     space = rep_space(scheme, raw)
-    stacked = np.vstack(_stack_centralizer_ops(scheme, raw))
+    stacked = np.vstack([rho_prime_pair(scheme, raw, AlgebraPair(lmat, lmat)).toarray()
+                         for lmat in build_m_basis(scheme)])
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     tol = KERNEL_RTOL * max(float(svals.max()), 1.0) if svals.size else 1.0
     rank = int(np.sum(svals > tol))
@@ -396,6 +392,9 @@ class SpinContraction:
     reach distinct states, so, with no Fock space built, the weight of T_alpha is
 
         -(sum_{i != j} |z_ij|^2 l_j (l_i + 1) + |diag(z).l + k.traces + shift|^2)
+
+    One `_pair_action` call on the whole orbit-direction basis, as a stacked
+    pair, gives every weight at once.
     """
 
     def __init__(self, scheme: Scheme, raw: RawParams):
@@ -408,15 +407,13 @@ class SpinContraction:
         self.state = vk.states[0]
         self.basis: KPerpBasis = build_kperp_basis(scheme)
         occ = np.array(self.state, dtype=float)
-        weights = np.empty(len(self.basis))
-        for i in range(len(self.basis)):
-            z, traces, shift = _pair_action(scheme, raw.a1, self.basis.pair(i))
-            hops = np.abs(z) ** 2
-            np.fill_diagonal(hops, 0.0)
-            diag = np.diagonal(z) @ occ + np.dot(raw.ks, traces) + shift
-            # <v, op^2 v> = -|op v|^2 for anti-Hermitian op
-            weights[i] = -float((occ + 1.0) @ hops @ occ + abs(diag) ** 2)
-        self.weights = weights
+        z, traces, shift = _pair_action(
+            scheme, raw.a1, AlgebraPair(self.basis.left, self.basis.right))
+        on_diag = np.diagonal(z, axis1=-2, axis2=-1)
+        hops = np.abs(z) ** 2 * (1.0 - np.eye(scheme.m))
+        diag = on_diag @ occ + traces @ np.array(raw.ks, dtype=float) + shift
+        # <v, op^2 v> = -|op v|^2 for anti-Hermitian op
+        self.weights = -((occ + 1.0) @ hops @ occ + np.abs(diag) ** 2)
 
     def at(self, pt) -> np.ndarray:
         """Spin term at q of shape (..., n): one value per point."""
@@ -641,41 +638,34 @@ def _free_grid(case: str, gamma_max: int, k_bound: int) -> Iterator[KKSParams]:
     return (cls(*values) for values in product(*ranges))
 
 
-def _a1_reach(case: str, n: int, gamma_max: int) -> np.ndarray:
-    """Indicator over 0 .. max a1 of the a1 values that occupation fields in
+def _a1_width(case: str, gamma_max: int) -> int:
+    """Width w of the intervals of a1 values that occupation fields in
     [0, gamma_max] reach.
 
-    `to_raw` makes a1 a sum c_1 g_1 + c_2 g_2 + ... over the gamma* fields;
-    c_i is the a1 of the set whose field i is 1 and whose others are 0.  Each
-    field widens the indicator of the sums reached so far by a window of
-    gamma_max + 1 steps of c_i (a running count per residue mod c_i), so no
-    (gamma_max + 1)^p walk over the field sets is made.
+    Every `to_raw` makes a1 n times the first gamma* field plus the others,
+    so the reachable a1 are the union of the gamma_max + 1 intervals
+    [g n, g n + w], g = 0 .. gamma_max, where w is gamma_max times the number
+    of the other gamma* fields: 0, gamma_max and 2 gamma_max in cases I-III.
     """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}")
-    cls = CASES[case]
-    zero = {f.name: 0 for f in fields(cls)}
-    reach = np.ones(1, dtype=bool)
-    for name in zero:
-        if not name.startswith("gamma"):
-            continue
-        step = cls(**{**zero, name: 1}).to_raw(n).a1
-        size = reach.size + step * gamma_max
-        counts = np.zeros((-(-size // step), step), dtype=np.int64)
-        counts.ravel()[:reach.size] = reach
-        np.cumsum(counts, axis=0, out=counts)
-        hit = counts > 0
-        hit[gamma_max + 1:] = counts[gamma_max + 1:] > counts[:-(gamma_max + 1)]
-        reach = hit.ravel()[:size]
-    return reach
+    return gamma_max * (sum(f.name.startswith("gamma") for f in fields(CASES[case])) - 1)
 
 
 def _a1_values(case: str, n: int, gamma_max: int) -> list[int]:
-    return np.flatnonzero(_a1_reach(case, n, gamma_max)).tolist()
+    w = _a1_width(case, gamma_max)
+    if w + 1 >= n:  # the intervals touch or overlap
+        return list(range(gamma_max * n + w + 1))
+    return [g * n + t for g in range(gamma_max + 1) for t in range(w + 1)]
 
 
 def grid_size(case: str, n: int, gamma_max: int, k_bound: int) -> int:
-    return int(np.count_nonzero(_a1_reach(case, n, gamma_max))) * (2 * k_bound + 1) ** 4
+    """Cells of the grid `enumerate_grid` spans, counted in closed form: the
+    a1 values number gamma_max n + w + 1 when w + 1 >= n (`_a1_width`), else
+    (gamma_max + 1)(w + 1), so none is listed."""
+    w = _a1_width(case, gamma_max)
+    a1s = gamma_max * n + w + 1 if w + 1 >= n else (gamma_max + 1) * (w + 1)
+    return a1s * (2 * k_bound + 1) ** 4
 
 
 #: largest (cells, states) block `_grid_nullity_batch` holds at once, in elements
@@ -687,27 +677,24 @@ def _grid_nullity_batch(
 ) -> tuple[np.ndarray, list[tuple[tuple[int, ...], ...]]]:
     """Brute-force nullities for every determinant-power tuple at fixed a1.
 
-    Builds the diagonals of the centralizer operators from `_pair_action`
-    (diagonal in the occupation basis for these cases, so the stacked
-    operator has orthogonal columns and its singular values are the column
-    norms), then sweeps the scalar offsets over the k-grid in blocks of at
-    most _KERNEL_BLOCK (cell, state) pairs, adding the squared column norms
-    one operator at a time, so memory does not grow with the grid.  Returns
-    the nullity per cell and, per cell, the kernel states.
+    Builds the diagonals of the centralizer operators from one `_pair_action`
+    call on the stacked centralizer basis (diagonal in the occupation basis
+    for these cases, so the stacked operator has orthogonal columns and its
+    singular values are the column norms), then sweeps the scalar offsets
+    over the k-grid in blocks of at most _KERNEL_BLOCK (cell, state) pairs,
+    adding the squared column norms one operator at a time, so memory does
+    not grow with the grid.  Returns the nullity per cell and, per cell, the
+    kernel states.
     """
     space = fock_space(scheme.m, a1)
     occ = space.occupations.astype(float)
-    bases = []
-    traces = []
-    for lmat in build_m_basis(scheme):
-        z, t, shift = _pair_action(scheme, a1, AlgebraPair(lmat, lmat))
-        w = np.diagonal(z)
-        if np.abs(z - np.diag(w)).max() > 1e-13:
-            raise AssertionError("centralizer basis is not diagonal; use method='svd'")
-        bases.append(occ @ w.imag + shift.imag)
-        traces.append(t.imag)
-    base = np.array(bases)  # (n_ops, dim)
-    offsets = kgrid @ np.array(traces).T  # (cells, n_ops)
+    m_basis = build_m_basis(scheme)
+    z, traces, shift = _pair_action(scheme, a1, AlgebraPair(m_basis, m_basis))
+    if np.abs(z[:, ~np.eye(scheme.m, dtype=bool)]).max(initial=0.0) > 1e-13:
+        raise AssertionError("centralizer basis is not diagonal; use method='svd'")
+    w = np.diagonal(z, axis1=-2, axis2=-1)
+    base = w.imag @ occ.T + shift.imag[:, None]  # (n_ops, dim)
+    offsets = kgrid @ traces.imag.T  # (cells, n_ops)
     nullity = np.empty(len(kgrid), dtype=np.int64)
     states: list[tuple[tuple[int, ...], ...]] = [()] * len(kgrid)
     step = max(1, _KERNEL_BLOCK // space.dim)

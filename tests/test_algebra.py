@@ -11,6 +11,7 @@ from bcn_reduction.algebra import (
     Scheme,
     _angle_pairs,
     apply_involution,
+    check_pair,
     factor_split,
     grade_project,
     inner_y,
@@ -221,6 +222,33 @@ class TestFactorSplit:
         bad = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # off-diagonal
         with pytest.raises(ValueError):
             factor_split(s, AlgebraPair(bad, np.zeros((2, 2), dtype=complex)))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_stack_rejects_one_leaking_element(self, side):
+        from bcn_reduction.polar import build_kperp_basis
+
+        s = Scheme.of_case("III", 2)
+        basis = build_kperp_basis(s)
+        left, right = basis.left.copy(), basis.right.copy()
+        for call in (check_pair, factor_split):
+            call(s, AlgebraPair(left, right))  # the whole basis is clean
+        mat, p = (left, s.r) if side == "left" else (right, s.m)
+        mat[7, 0, p] = 0.5
+        for call in (check_pair, factor_split):
+            with pytest.raises(ValueError, match=f"{side} component"):
+                call(s, AlgebraPair(left, right))
+
+    def test_stack_scale_is_per_element(self):
+        # a leak of 1e-9 is within tolerance next to a 1e4 entry of its own
+        # element, not next to one in another element of the stack
+        s = Scheme.of_case("I", 1)
+        leak = np.array([[0, 1e-9], [0, 0]], dtype=complex)
+        big = np.diag([1e4j, 0])
+        zero = np.zeros((2, 2, 2), dtype=complex)
+        check_pair(s, AlgebraPair(np.stack([leak + big, big]), zero))
+        for call in (check_pair, factor_split):
+            with pytest.raises(ValueError, match="left component"):
+                call(s, AlgebraPair(np.stack([leak, big]), zero))
 
 
 class TestRadial:

@@ -89,6 +89,10 @@ class TestExitCodes:
             # couplings has no rows to write as CSV
             ["couplings", "--case", "I", "--n", "1", "--gamma", "1",
              "--kl1", "1", "--kl2", "0", "--kr1", "0", "--csv", "c.csv"],
+            ["verify", "reduction", "--case", "I", "--n", "1", "--gamma", "1",
+             "--kl1", "1", "--kl2", "0", "--kr1", "0", "--tol", "nan"],
+            ["verify", "reduction", "--case", "I", "--n", "1", "--gamma", "1",
+             "--kl1", "1", "--kl2", "0", "--kr1", "0", "--tol", "-1"],
         ],
     )
     def test_out_of_range_input_is_two(self, argv, capsys):
@@ -126,6 +130,20 @@ class TestExitCodes:
                          "100000", "--k-bound", "3", "--cap", "10"])
         assert code == 2 and time.perf_counter() - t0 < 1.0
         assert "grid has 720302401 cells, cap is 10" in capsys.readouterr().err
+
+    def test_cap_refusal_counts_in_closed_form(self, capsys):
+        # 30,000,001 values of a1 are counted, not listed
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            code = cli.main(["enumerate", "--case", "III", "--n", "1", "--gamma-max",
+                             "10000000", "--k-bound", "3", "--cap", "10"])
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and elapsed < 1.0 and peak < 1 << 20
+        assert "grid has 72030002401 cells, cap is 10" in capsys.readouterr().err
 
     def test_enumerate_cap_is_two(self):
         res = run_cli(

@@ -33,6 +33,10 @@ class TestMBasis:
         basis = build_m_basis(s)
         assert len(basis) == count == s.dim_centralizer
 
+    def test_stacked_shape(self):
+        for s in ALL_SCHEMES + [Scheme(5, 2, 4, 3), Scheme(3, 0, 2, 1)]:
+            assert build_m_basis(s).shape == (s.dim_centralizer, s.N, s.N)
+
     def test_orthonormal(self):
         from bcn_reduction.algebra import inner_y
 

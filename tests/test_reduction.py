@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from bcn_reduction.algebra import AlgebraPair, random_antiherm
 from bcn_reduction.fock import fock_space
-from bcn_reduction.polar import build_kperp_basis, measure_factor, sample_alcove
+from bcn_reduction.polar import (
+    build_kperp_basis,
+    build_m_basis,
+    measure_factor,
+    sample_alcove,
+)
 from bcn_reduction import reduction
 from bcn_reduction.reduction import (
     CASES,
@@ -121,6 +126,24 @@ class TestParamDerivations:
 
 
 class TestRhoPrime:
+    @pytest.mark.parametrize("case", ["I", "II", "III"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stacked_pair_action_is_per_element(self, case, n):
+        # one call on a whole basis equals the calls on its elements exactly
+        scheme = scheme_for(case, n)
+        kperp, m_basis = build_kperp_basis(scheme), build_m_basis(scheme)
+        a1 = 7  # a1 mod m is nonzero wherever m > 1, so the shift is exercised
+        for left, right in ((kperp.left, kperp.right), (m_basis, m_basis)):
+            z, traces, shift = reduction._pair_action(scheme, a1, AlgebraPair(left, right))
+            assert z.shape == (len(left), scheme.m, scheme.m)
+            assert traces.shape == (len(left), 4) and shift.shape == (len(left),)
+            for i in range(len(left)):
+                zi, ti, si = reduction._pair_action(scheme, a1,
+                                                    AlgebraPair(left[i], right[i]))
+                assert np.array_equal(z[i], zi)
+                assert np.array_equal(traces[i], ti)
+                assert shift[i] == si
+
     def test_central_pair_scalar(self):
         # pair of identities acts by i(mu + n * sum of powers); zero when admissible
         n = 2

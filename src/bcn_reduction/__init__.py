@@ -10,13 +10,9 @@ couplings (a, b, c) plus an explicit additive constant.
 from .algebra import (
     AlcoveError,
     AlgebraPair,
-    RadialPoint,
     Scheme,
-    apply_involution,
     factor_split,
-    grade_project,
     inner_y,
-    involution_matrix,
     pair_inner,
     radial_embed,
     radial_exp,

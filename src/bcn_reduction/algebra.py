@@ -7,14 +7,16 @@ one by diag(1_m, -1_n).  Their joint eigenspaces give a Z2 x Z2 gradation of
 u(N), and the partition N = n + (r-n) + (s-n) + n gives a 4x4 block layout
 in which all the distinguished subspaces are block-sparse.
 
-This module provides the gradation, the trace-form inner products, pairs of
-algebra elements for the two-sided symmetry, and the explicit radial torus
-(the flat section of the group action) with its closed-form exponential.
-The pair functions (`check_pair`, `factor_split`, `inner_y`, `pair_inner`)
-take stacks: components of shape (..., N, N), one element or a whole basis.
+This module provides the schemes, the one trace form `inner_y` (and
+`pair_inner`, its sum over a symmetry pair), pairs of algebra elements for
+the two-sided symmetry, and the explicit radial torus (the flat section of
+the group action) with its closed-form exponential.  The pair functions
+(`check_pair`, `factor_split`, `inner_y`, `pair_inner`) take stacks:
+components of shape (..., N, N), one element or a whole basis; the two
+forms return the Gram matrix over the leading axes of their arguments.
 
-All matrices are dense complex numpy arrays; N never exceeds ~16 in the
-supported schemes, so dense storage is both simplest and fastest.  Every
+All matrices are dense complex numpy arrays; N is at most 62 in the tagged
+cases (rank n <= 30), where dense storage is simplest.  Every
 function here is pure and all values are immutable after construction.
 """
 
@@ -116,72 +118,18 @@ class Scheme:
         return self.n + (self.r - self.n) ** 2 + (self.s - self.n) ** 2
 
 
-def involution_matrix(p: int, q: int) -> np.ndarray:
-    """Return diag(1_p, -1_q), the unitary implementing the (p, q) involution.
-
-    Parameters
-    ----------
-    p, q : int
-        Block sizes with p >= q >= 0.  The result is its own inverse.
-    """
-    if not (p >= q >= 0):
-        raise ValueError(f"need p >= q >= 0, got {(p, q)}")
-    return np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
-
-
-def apply_involution(inv: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Conjugate x by a diagonal sign matrix (which equals its own inverse)."""
-    d = np.diagonal(inv)
-    return d[:, None] * x * d[None, :]
-
-
-def to_antiherm(x: np.ndarray, tol: float = ANTIHERM_TOL) -> np.ndarray:
-    """Validate anti-Hermiticity of x within tol and return (x - x†)/2.
-
-    The symmetrization guards against drift accumulated by composed
-    operations; inputs further than tol from anti-Hermitian are rejected.
-    """
-    x = np.asarray(x, dtype=complex)
-    defect = np.abs(x + x.conj().T).max() if x.size else 0.0
-    scale = max(1.0, np.abs(x).max()) if x.size else 1.0
-    if defect > tol * scale:
-        raise ValueError(f"matrix is not anti-Hermitian (defect {defect:.3e})")
-    return (x - x.conj().T) / 2
-
-
-def random_antiherm(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Random element of u(n) with entries of the given scale."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * (a - a.conj().T) / 2
-
-
-def grade_project(scheme: Scheme, x: np.ndarray, block: str) -> np.ndarray:
-    """Project onto one of the four joint eigenspaces of the two involutions.
-
-    `block` is two characters from {+, -}; the first is the left sign, the
-    second the right sign.  The four projections are mutually orthogonal for
-    the trace form and sum to x.
-    """
-    if block not in ("++", "+-", "-+", "--"):
-        raise ValueError(f"bad block {block!r}")
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (scheme.N, scheme.N):
-        raise ValueError(f"expected {scheme.N}x{scheme.N} matrix, got {x.shape}")
-    sl, sr = scheme.left_signs(), scheme.right_signs()
-    a = 1.0 if block[0] == "+" else -1.0
-    b = 1.0 if block[1] == "+" else -1.0
-    mask_l = (sl[:, None] * sl[None, :]) == a
-    mask_r = (sr[:, None] * sr[None, :]) == b
-    return np.where(mask_l & mask_r, x, 0.0)
-
-
 def inner_y(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Positive-definite invariant form -tr(xz) on u(N); real for u(N) inputs.
+    """Gram matrix of the positive-definite invariant form -tr(xz) on u(N).
 
-    x and z are stacks (..., N, N) that broadcast against each other; the
-    result has their broadcast leading shape (a float for two matrices).
+    x and z are stacks (..., N, N); entry (i, j) is -Re tr(x_i z_j) over the
+    leading axes of both, so the result has shape x.shape[:-2] +
+    z.shape[:-2] (a float for two matrices).  It is one complex matrix
+    product of the flattened stacks: tr(x z) is the sum of x * z^T.
     """
-    return -np.einsum("...ab,...ba->...", x, z).real
+    x, z = np.asarray(x), np.asarray(z)
+    flat = x.shape[-2] * x.shape[-1]
+    gram = x.reshape(-1, flat) @ np.swapaxes(z, -2, -1).reshape(-1, flat).T
+    return -gram.real.reshape(x.shape[:-2] + z.shape[:-2])[()]
 
 
 @dataclass(frozen=True)
@@ -240,36 +188,10 @@ def factor_split(
 def pair_inner(p1: AlgebraPair, p2: AlgebraPair) -> np.ndarray:
     """Invariant form on the symmetry algebra: sum of the two trace forms.
 
-    Stacked components broadcast as in `inner_y`: pairs with components of
-    shape (k, 1, N, N) and (j, N, N) give the (k, j) matrix of the form.
+    A Gram matrix over the leading axes, as in `inner_y`: pairs with
+    components of shape (k, N, N) and (j, N, N) give the (k, j) matrix.
     """
     return inner_y(p1.left, p2.left) + inner_y(p1.right, p2.right)
-
-
-@dataclass(frozen=True)
-class RadialPoint:
-    """Point of the open radial alcove 0 < q_1 < ... < q_n < pi/2."""
-
-    q: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        q = tuple(float(v) for v in self.q)
-        object.__setattr__(self, "q", q)
-        arr = np.asarray(q)
-        if arr.ndim != 1 or arr.size < 1:
-            raise AlcoveError("need at least one angle")
-        if not (arr[0] > 0.0 and arr[-1] < math.pi / 2 and np.all(np.diff(arr) > 0)):
-            raise AlcoveError(f"angles {q} violate 0 < q_1 < ... < q_n < pi/2")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.q)
-
-
-def _angles(pt) -> np.ndarray:
-    if isinstance(pt, RadialPoint):
-        return pt.array
-    return np.asarray(pt, dtype=float)
 
 
 def _angle_pairs(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +207,7 @@ def radial_embed(scheme: Scheme, pt) -> np.ndarray:
     The angles sit as +diag(q) in the (1, 4) block and -diag(q) in the
     (4, 1) block of the 4x4 partition; everything else is zero.
     """
-    q = _angles(pt)
+    q = np.asarray(pt, dtype=float)
     if q.shape != (scheme.n,):
         raise ValueError(f"expected {scheme.n} angles, got {q.shape}")
     out = np.zeros((scheme.N, scheme.N), dtype=complex)
@@ -302,7 +224,7 @@ def radial_exp(scheme: Scheme, pt) -> np.ndarray:
     (4,1) carries -diag(sin q); the middle blocks are identities.  Closed
     alcove points (including the walls) are accepted.
     """
-    q = _angles(pt)
+    q = np.asarray(pt, dtype=float)
     if q.shape != (scheme.n,):
         raise ValueError(f"expected {scheme.n} angles, got {q.shape}")
     out = np.eye(scheme.N, dtype=complex)
@@ -337,7 +259,6 @@ def u_basis(p: int) -> list[np.ndarray]:
     return out
 
 
-__all__ = ["ANTIHERM_TOL", "AlcoveError", "AlgebraPair", "RadialPoint", "Scheme",
-           "apply_involution", "check_pair", "factor_split", "grade_project", "inner_y",
-           "involution_matrix", "pair_inner", "radial_embed", "radial_exp",
-           "random_antiherm", "to_antiherm", "u_basis"]
+__all__ = ["ANTIHERM_TOL", "AlcoveError", "AlgebraPair", "Scheme", "check_pair",
+           "factor_split", "inner_y", "pair_inner", "radial_embed", "radial_exp",
+           "u_basis"]

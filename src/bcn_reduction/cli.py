@@ -215,8 +215,7 @@ def suite_basis(scheme: Scheme, rng: np.random.Generator) -> list[Check]:
     )
 
     m_basis = polar.build_m_basis(scheme)
-    column = m_basis[:, None]  # broadcasts against every orbit direction
-    inner = algebra.pair_inner(AlgebraPair(column, column),
+    inner = algebra.pair_inner(AlgebraPair(m_basis, m_basis),
                                AlgebraPair(basis.left, basis.right))
     worst = float(np.abs(inner).max(initial=0.0))
     checks.append(_within("basis.centralizer_orthogonality", worst, 1e-12))
@@ -230,22 +229,21 @@ def suite_basis(scheme: Scheme, rng: np.random.Generator) -> list[Check]:
 
     # squared radial bracket multiplies each root vector by -root(q)^2, and
     # the mixed families rotate into each other under a single bracket
+    family = np.array([lab.family for lab in basis.labels])
+    coefs = np.array([lab.root.coef(scheme.n) for lab in basis.labels])
+    v, vt = family == "V", family == "Vt"
+    e = basis.left[v] * polar.SQ2
+    t, f = basis.left[vt] * polar.SQ2, basis.right[vt] * polar.SQ2
     worst_e = worst_t = 0.0
     for _ in range(3):
         q = polar.sample_alcove(scheme.n, rng)
         bfq = algebra.radial_embed(scheme, q)
         ad = lambda x: bfq @ x - x @ bfq
-        for i, lab in enumerate(basis.labels):
-            if lab.family == "V":
-                e = basis.left[i] * polar.SQ2
-                resid = ad(ad(e)) + lab.root.at(q) ** 2 * e
-                worst_e = max_or_nan(worst_e, float(np.abs(resid).max()))
-            elif lab.family == "Vt":
-                e = basis.left[i] * polar.SQ2
-                f = basis.right[i] * polar.SQ2
-                qj = lab.root.at(q)
-                worst_t = max_or_nan(worst_t, float(np.abs(ad(e) - qj * f).max()))
-                worst_t = max_or_nan(worst_t, float(np.abs(ad(f) + qj * e).max()))
+        root = (coefs @ q)[:, None, None]
+        resid = np.abs(ad(ad(e)) + root[v] ** 2 * e)
+        worst_e = max_or_nan(worst_e, float(resid.max(initial=0.0)))
+        mixed = np.maximum(np.abs(ad(t) - root[vt] * f), np.abs(ad(f) + root[vt] * t))
+        worst_t = max_or_nan(worst_t, float(mixed.max(initial=0.0)))
     checks.append(_within("basis.radial_bracket_squared", worst_e, 1e-12))
     checks.append(_within("basis.radial_bracket_mixing", worst_t, 1e-13))
     return checks
@@ -263,8 +261,10 @@ def suite_inertia(scheme: Scheme, rng: np.random.Generator, samples: int) -> lis
         resid = jmat - np.diag(lam)
         worst_col = max_or_nan(worst_col, float(np.linalg.norm(resid, axis=0).max()))
         worst_sym = max_or_nan(worst_sym, float(np.abs(jmat - jmat.T).max()))
-        det = np.linalg.det(jmat)
-        worst_det = max_or_nan(worst_det, abs(det - np.prod(lam)) / abs(det))
+        # in log space: the product of ~n^2 eigenvalues leaves double range
+        sign, logdet = np.linalg.slogdet(jmat)
+        gap = abs(logdet - np.sum(np.log(lam))) if sign > 0 else math.inf
+        worst_det = max_or_nan(worst_det, float(gap))
         try:
             np.linalg.cholesky(jmat)
         except np.linalg.LinAlgError:
@@ -291,12 +291,13 @@ def suite_density(scheme: Scheme, rng: np.random.Generator, samples: int) -> lis
                           f"{samples} points, h=1e-4"))
 
     basis = polar.build_kperp_basis(scheme)
-    ratios = []
+    log_ratios = []  # log(density_sqrt^4 / det J); a sign <= 0 makes it NaN
     for _ in range(samples):
         q = polar.sample_alcove(scheme.n, rng)
-        det = np.linalg.det(polar.inertia_matrix(scheme, basis, q))
-        ratios.append(polar.density_sqrt(scheme, q) ** 4 / det)
-    spread = (max(ratios) - min(ratios)) / abs(np.mean(ratios))
+        sign, logdet = np.linalg.slogdet(polar.inertia_matrix(scheme, basis, q))
+        log_ratios.append(4.0 * np.log(polar.density_sqrt(scheme, q)) - logdet
+                          if sign > 0 else math.nan)
+    spread = float(np.ptp(log_ratios))
     checks.append(_within("density.fourth_power_tracks_det", spread, 1e-9))
 
     worst = 0.0

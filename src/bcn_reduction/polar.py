@@ -36,7 +36,7 @@ from .algebra import (
     AlgebraPair,
     Scheme,
     _angle_pairs,
-    _angles,
+    inner_y,
     pair_inner,
     radial_exp,
     u_basis,
@@ -151,8 +151,8 @@ class KPerpBasis:
 
     def gram(self) -> np.ndarray:
         """Gram matrix under the symmetry-algebra form; identity if healthy."""
-        return pair_inner(AlgebraPair(self.left[:, None], self.right[:, None]),
-                          AlgebraPair(self.left, self.right))
+        stack = AlgebraPair(self.left, self.right)
+        return pair_inner(stack, stack)
 
     def family_counts(self) -> dict[str, int]:
         counts = {f: 0 for f in FAMILIES}
@@ -249,17 +249,13 @@ def build_kperp_basis(scheme: Scheme) -> KPerpBasis:
 def inertia_matrix(scheme: Scheme, basis: KPerpBasis, pt) -> np.ndarray:
     """Inertia operator evaluated from its definition, as a matrix in basis order.
 
-    Entry (i, j) is the trace-form inner product of the tangent
-    representatives right_i - g^-1 left_i g and right_j - g^-1 left_j g,
-    where g is the closed-form radial exponential at the given point.
+    J is the Gram matrix, under the trace form `inner_y`, of the tangent
+    representatives u_i = right_i - g^-1 left_i g, where g is the
+    closed-form radial exponential at the given point.
     """
-    q = _angles(pt)
-    g = radial_exp(scheme, q)
-    ginv = g.conj().T
-    moved = np.einsum("ab,kbc,cd->kad", ginv, basis.left, g)
-    u = basis.right - moved
-    mat = -np.einsum("iab,jba->ij", u, u)
-    return mat.real
+    g = radial_exp(scheme, pt)
+    u = basis.right - g.conj().T @ basis.left @ g
+    return inner_y(u, u)
 
 
 def inertia_eigenvalues(basis: KPerpBasis, pt) -> np.ndarray:
@@ -272,7 +268,7 @@ def inertia_eigenvalues(basis: KPerpBasis, pt) -> np.ndarray:
     float(pi/4) is added after the offset, so pi/4 - q_j/2 keeps full
     relative precision as q_j -> pi/2 and Wt does not cancel.
     """
-    x = (_angles(pt) @ basis.half_roots.T + basis.offsets) + basis.tails
+    x = (np.asarray(pt, dtype=float) @ basis.half_roots.T + basis.offsets) + basis.tails
     return 2.0 * np.where(basis.cos_mask, np.cos(x), np.sin(x)) ** 2
 
 
@@ -293,7 +289,7 @@ class RootSeries:
 
     def at(self, pt) -> np.ndarray:
         """Value at q of shape (..., n): one value per point."""
-        q = _angles(pt)
+        q = np.asarray(pt, dtype=float)
         diff, tot = _angle_pairs(q)
         pairs = np.sum(1.0 / np.sin(diff) ** 2 + 1.0 / np.sin(tot) ** 2, axis=-1)
         return (self.pair * pairs
@@ -320,7 +316,7 @@ def radial_density(nu: float, nu1: float, nu2: float, pt) -> float:
     power nu2.  All bases are positive on the open alcove; evaluation
     elsewhere raises AlcoveError.
     """
-    q = _angles(pt)
+    q = np.asarray(pt, dtype=float)
     _check_alcove(q)
     diff, tot = _angle_pairs(q)
     return np.prod((np.sin(diff) * np.sin(tot)) ** nu, axis=-1) * np.prod(
@@ -378,7 +374,7 @@ def measure_factor_fd(scheme: Scheme, pt, h: float = 1e-4) -> float:
     and divides by its value; requires the point to sit at least
     WALL_MARGIN from every alcove wall so the stencil stays interior.
     """
-    q = _angles(pt)
+    q = np.asarray(pt, dtype=float)
     if interior_margin(q) < WALL_MARGIN:
         raise AlcoveError(
             f"point within {WALL_MARGIN} of an alcove wall; move inward"
@@ -419,7 +415,7 @@ def sutherland_identity(
     of the product density, rhs the closed form, and rel_err their relative
     difference |lhs - rhs| / max(1, |lhs|, |rhs|).
     """
-    q = _angles(pt)
+    q = np.asarray(pt, dtype=float)
     f = lambda qq: radial_density(nu, nu1, nu2, qq)
     lhs = _fd_radial_sum(f, q, h) / f(q)
     rhs = sutherland_rhs(nu, nu1, nu2, q.shape[-1]).at(q)

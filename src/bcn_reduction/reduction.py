@@ -491,16 +491,6 @@ def mu_params(coup: Couplings) -> MuParams:
     )
 
 
-def couplings_from_mu(mu: MuParams, constant: Fraction = Fraction(0)) -> Couplings:
-    c = mu.long - Fraction(1, 2)
-    b = mu.short + c
-    a = mu.pair - 1
-    for name, val in (("a", a), ("b", b), ("c", c)):
-        if val.denominator != 1:
-            raise ValueError(f"coupling {name} is not an integer: {val}")
-    return Couplings(int(a), int(b), int(c), constant)
-
-
 def bc_potential(coup: "Couplings | tuple[int, int, int]") -> RootSeries:
     """Trigonometric Sutherland potential with couplings (a, b, c).
 
@@ -786,7 +776,6 @@ __all__ = [
     "brute_force_refusal",
     "case1_spin_closed",
     "couplings",
-    "couplings_from_mu",
     "enumerate_grid",
     "grid_size",
     "max_or_nan",

@@ -5,23 +5,23 @@ import pytest
 from scipy.linalg import expm
 
 from bcn_reduction.algebra import (
-    AlcoveError,
     AlgebraPair,
-    RadialPoint,
     Scheme,
     _angle_pairs,
-    apply_involution,
     check_pair,
     factor_split,
-    grade_project,
     inner_y,
-    involution_matrix,
     pair_inner,
     radial_embed,
     radial_exp,
+    u_basis,
+)
+from oracles import (
+    apply_involution,
+    grade_project,
+    involution_matrix,
     random_antiherm,
     to_antiherm,
-    u_basis,
 )
 
 ALL_SCHEMES = [Scheme.of_case(c, n) for c in ("I", "II", "III") for n in (1, 2, 3)]
@@ -154,6 +154,21 @@ class TestInnerProducts:
                 if b1 != b2:
                     val = inner_y(grade_project(s, x, b1), grade_project(s, z, b2))
                     assert abs(val) <= 1e-13
+
+    def test_gram_matches_trace_loop(self):
+        # -Re tr(x_i z_j) over the leading axes of both arguments, for
+        # matrix x matrix, stack x matrix, matrix x stack and stack x stack
+        rng = np.random.default_rng(11)
+        stack = lambda *lead: (rng.standard_normal(lead + (3, 3))
+                               + 1j * rng.standard_normal(lead + (3, 3)))
+        x, z = stack(2, 4), stack(5)
+        for a, b in ((x[0, 0], z[0]), (x, z[0]), (x[0, 0], z), (x, z)):
+            want = np.array([[-np.trace(xi @ zj).real for zj in b.reshape(-1, 3, 3)]
+                             for xi in a.reshape(-1, 3, 3)])
+            got = inner_y(a, b)
+            assert np.shape(got) == a.shape[:-2] + b.shape[:-2]
+            assert np.allclose(np.reshape(got, want.shape), want, rtol=1e-13, atol=1e-13)
+        assert isinstance(inner_y(x[0, 0], z[0]), float)
 
     def test_pair_inner_is_sum(self):
         rng = np.random.default_rng(7)
@@ -293,14 +308,3 @@ class TestRadial:
                 assert list(zip(d, t)) == pairs
                 assert list(zip(*_angle_pairs(row))) == pairs
 
-
-class TestRadialPoint:
-    def test_accepts_interior(self):
-        RadialPoint((0.1, 0.5, 1.2))
-
-    @pytest.mark.parametrize(
-        "q", [(0.0, 0.5), (0.5, 0.5), (0.6, 0.4), (0.3, math.pi / 2)]
-    )
-    def test_rejects_walls_and_disorder(self, q):
-        with pytest.raises(AlcoveError):
-            RadialPoint(q)

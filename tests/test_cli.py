@@ -502,3 +502,106 @@ class TestNonFinite:
         checks = cli.suite_density(scheme_for("I", 1), np.random.default_rng(0), 3)
         check = next(c for c in checks if c.name == "density.measure_factor_fd")
         assert check.status == "fail" and math.isnan(check.max_abs_err)
+
+
+class TestLogDeterminant:
+    def test_underflowing_eigenvalue_product_passes(self, monkeypatch):
+        # small eigenvalues before large ones: their running product leaves
+        # double range although det J = 1, which a linear-space check fails
+        scheme = scheme_for("I", 2)
+        dim = len(polar.build_kperp_basis(scheme))
+        lam = np.repeat([1e-100, 1e100], [dim // 2, dim - dim // 2])
+        assert np.prod(lam) == 0.0
+        monkeypatch.setattr(polar, "inertia_eigenvalues", lambda basis, q: lam)
+        monkeypatch.setattr(polar, "inertia_matrix", lambda scheme, basis, q: np.diag(lam))
+        checks = cli.suite_inertia(scheme, np.random.default_rng(0), 2)
+        check = next(c for c in checks if c.name == "inertia.determinant_vs_eigenvalues")
+        assert check.status == "pass" and check.max_abs_err <= 1e-10
+
+
+class TestNegativeControls:
+    """Each check fails when one of its inputs is corrupted."""
+
+    SCHEME = scheme_for("III", 1)  # has V roots of two lengths and Vt/Wt pairs
+
+    @staticmethod
+    def status(checks, name):
+        return next(c.status for c in checks if c.name == name)
+
+    @staticmethod
+    def corrupt_basis(monkeypatch, edit):
+        """Make build_kperp_basis apply edit(labels, left, right) in place."""
+        build = polar.build_kperp_basis
+
+        def corrupted(scheme):
+            basis = build(scheme)
+            left, right = basis.left.copy(), basis.right.copy()
+            edit(basis.labels, left, right)
+            return polar.KPerpBasis(scheme, basis.labels, left, right)
+
+        monkeypatch.setattr(polar, "build_kperp_basis", corrupted)
+
+    def basis_checks(self):
+        return cli.suite_basis(self.SCHEME, np.random.default_rng(0))
+
+    def test_gram_identity(self, monkeypatch):
+        def scale(labels, left, right):
+            left[0] *= 1.1
+        self.corrupt_basis(monkeypatch, scale)
+        assert self.status(self.basis_checks(), "basis.gram_identity") == "fail"
+
+    def test_centralizer_orthogonality(self, monkeypatch):
+        # an orbit direction added to the first centralizer element
+        basis, build = polar.build_kperp_basis(self.SCHEME), polar.build_m_basis
+        v = basis.left[[lab.family for lab in basis.labels].index("V")]
+        first = (np.arange(self.SCHEME.dim_centralizer) == 0)[:, None, None]
+        monkeypatch.setattr(polar, "build_m_basis", lambda scheme: build(scheme) + first * v)
+        assert self.status(self.basis_checks(), "basis.centralizer_orthogonality") == "fail"
+
+    def test_radial_bracket_squared(self, monkeypatch):
+        # two V directions of different roots swap places: the Gram
+        # identity holds, the squared bracket sees the wrong root
+        def swap(labels, left, right):
+            v = [i for i, lab in enumerate(labels) if lab.family == "V"]
+            i, j = v[0], next(k for k in v if labels[k].root != labels[v[0]].root)
+            left[[i, j]], right[[i, j]] = left[[j, i]], right[[j, i]]
+        self.corrupt_basis(monkeypatch, swap)
+        checks = self.basis_checks()
+        assert self.status(checks, "basis.gram_identity") == "pass"
+        assert self.status(checks, "basis.radial_bracket_squared") == "fail"
+
+    def test_radial_bracket_mixing(self, monkeypatch):
+        # a Vt direction swaps places with its Wt partner (same left part,
+        # opposite right part): the Gram identity holds, the bracket rotates
+        # the left part into minus the right part
+        def swap(labels, left, right):
+            i = next(k for k, lab in enumerate(labels) if lab.family == "Vt")
+            key = (labels[i].root, labels[i].flavor, labels[i].block)
+            j = next(k for k, lab in enumerate(labels)
+                     if lab.family == "Wt" and (lab.root, lab.flavor, lab.block) == key)
+            left[[i, j]], right[[i, j]] = left[[j, i]], right[[j, i]]
+        self.corrupt_basis(monkeypatch, swap)
+        checks = self.basis_checks()
+        assert self.status(checks, "basis.gram_identity") == "pass"
+        assert self.status(checks, "basis.radial_bracket_squared") == "pass"
+        assert self.status(checks, "basis.radial_bracket_mixing") == "fail"
+
+    @pytest.mark.parametrize("corruption", ["eigenvalue", "sign"])
+    def test_determinant_vs_eigenvalues(self, monkeypatch, corruption):
+        if corruption == "eigenvalue":  # one eigenvalue doubled
+            lam = polar.inertia_eigenvalues
+            monkeypatch.setattr(polar, "inertia_eigenvalues", lambda basis, q: lam(basis, q)
+                                * np.where(np.arange(len(basis)) == 0, 2.0, 1.0))
+        else:  # det J < 0: one column of J flips sign
+            jmat = polar.inertia_matrix
+            monkeypatch.setattr(polar, "inertia_matrix", lambda scheme, basis, q: jmat(
+                scheme, basis, q) * np.where(np.arange(len(basis)) == 0, -1.0, 1.0))
+        checks = cli.suite_inertia(self.SCHEME, np.random.default_rng(0), 3)
+        assert self.status(checks, "inertia.determinant_vs_eigenvalues") == "fail"
+
+    def test_fourth_power_tracks_det(self, monkeypatch):
+        density = polar.density_sqrt
+        monkeypatch.setattr(polar, "density_sqrt",
+                            lambda scheme, q: density(scheme, q) * (1.0 + 0.1 * q[0]))
+        checks = cli.suite_density(self.SCHEME, np.random.default_rng(0), 3)
+        assert self.status(checks, "density.fourth_power_tracks_det") == "fail"

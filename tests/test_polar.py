@@ -4,7 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from bcn_reduction.algebra import AlcoveError, AlgebraPair, Scheme, pair_inner, radial_embed
+from bcn_reduction.algebra import (
+    AlcoveError,
+    AlgebraPair,
+    Scheme,
+    pair_inner,
+    radial_embed,
+    radial_exp,
+)
 from bcn_reduction.polar import (
     SQ2,
     build_kperp_basis,
@@ -216,6 +223,17 @@ class TestInertia:
                 lam = inertia_eigenvalues(basis, q)
                 assert np.abs(jmat - np.diag(lam)).max() <= 1e-12
 
+    def test_matrix_matches_definition_loop(self):
+        # J_ij = -Re tr(u_i u_j), u_i = right_i - g^-1 left_i g, one pair at a time
+        rng = np.random.default_rng(12)
+        for s in ALL_SCHEMES[:6]:
+            basis = build_kperp_basis(s)
+            q = sample_alcove(s.n, rng)
+            g = radial_exp(s, q)
+            u = [r - g.conj().T @ l @ g for l, r in zip(basis.left, basis.right)]
+            want = np.array([[-np.trace(a @ b).real for b in u] for a in u])
+            assert np.abs(inertia_matrix(s, basis, q) - want).max() <= 1e-14
+
     def test_determinant_oracle(self):
         rng = np.random.default_rng(5)
         for s in ALL_SCHEMES[:6]:
@@ -273,6 +291,10 @@ class TestDensity:
             density_sqrt(s, [0.5, 0.5])
         with pytest.raises(AlcoveError):
             density_sqrt(s, [0.0, 0.5])
+        with pytest.raises(AlcoveError):
+            density_sqrt(s, [0.6, 0.4])
+        with pytest.raises(AlcoveError):
+            density_sqrt(s, [0.3, math.pi / 2])
 
 
 class TestMeasureFactor:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcn_reduction.algebra import AlgebraPair, random_antiherm
+from bcn_reduction.algebra import AlgebraPair
 from bcn_reduction.fock import fock_space
 from bcn_reduction.polar import (
     build_kperp_basis,
@@ -30,7 +30,6 @@ from bcn_reduction.reduction import (
     bc_potential,
     case1_spin_closed,
     couplings,
-    couplings_from_mu,
     enumerate_grid,
     mu_params,
     params_from_raw,
@@ -41,6 +40,7 @@ from bcn_reduction.reduction import (
     vk_bruteforce,
     vk_predicted,
 )
+from oracles import couplings_from_mu, random_antiherm
 
 
 def scalar_vk_predicted(n: int, raw: RawParams) -> VKResult:

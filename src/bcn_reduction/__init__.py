@@ -24,13 +24,13 @@ from .polar import (
     RootSeries,
     build_kperp_basis,
     build_m_basis,
-    density_sqrt,
     inertia_eigenvalues,
     inertia_matrix,
+    log_density,
+    log_laplacian_fd,
     measure_factor,
-    measure_factor_fd,
     sample_alcove,
-    sutherland_identity,
+    sutherland_rhs,
 )
 from .reduction import (
     CaseIParams,

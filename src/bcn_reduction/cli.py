@@ -17,10 +17,12 @@ inadmissible, 2 usage or configuration error.  Status 2 covers --samples,
 --n or --modes below 1, and --level, --seed, --gamma-max, --k-bound, --gamma,
 --gamma-tilde, --gamma-hat or --tol below 0, a NaN --tol, --n above
 polar.max_alcove_rank() (30) for the verify kinds that sample alcove points,
-couplings --csv, and enumerate --brute or verify fock on a Fock space above
-reduction.BRUTE_FORCE_DIM_GUARD.  Inside verify reduction and verify all, a
-space above the guard makes the check it feeds (reduction.admissible, or the
-fock suite) a skip, not an error.
+couplings --csv, a --json or --csv path that cannot be written, and
+enumerate --brute or verify fock on a Fock space that
+reduction.brute_force_refusal refuses (dimension above
+reduction.BRUTE_FORCE_DIM_GUARD, or a level at the int64 limit).  Inside
+verify reduction and verify all, a refused space makes the check it feeds
+(reduction.admissible, or the fock suite) a skip, not an error.
 
 Every report is one envelope (schema_version, command, scheme, seed, status,
 wall_clock_s) around the command's sections, written as JSON (--json) or,
@@ -150,16 +152,19 @@ def write_report(report: dict, json_path: Optional[str], csv_path: Optional[str]
     out: list[str] = []
     _dump(report, 0, out)
     payload = "".join(out)
-    if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(payload + "\n")
-    if csv_path:
-        rows = report.get("rows", report.get("checks", []))
-        with open(csv_path, "w", newline="") as fh:
-            if rows:
-                writer = csv.DictWriter(fh, fieldnames=sorted(set().union(*rows)))
-                writer.writeheader()
-                writer.writerows(rows)
+    try:
+        if json_path:
+            with open(json_path, "w") as fh:
+                fh.write(payload + "\n")
+        if csv_path:
+            rows = report.get("rows", report.get("checks", []))
+            with open(csv_path, "w", newline="") as fh:
+                if rows:
+                    writer = csv.DictWriter(fh, fieldnames=sorted(set().union(*rows)))
+                    writer.writeheader()
+                    writer.writerows(rows)
+    except OSError as exc:
+        raise UsageError(f"cannot write the report: {exc}") from exc
     if not json_path and not csv_path:
         print(payload)
 
@@ -280,32 +285,29 @@ def suite_inertia(scheme: Scheme, rng: np.random.Generator, samples: int) -> lis
 
 
 def suite_density(scheme: Scheme, rng: np.random.Generator, samples: int) -> list[Check]:
-    checks = []
-    worst = 0.0
-    for _ in range(samples):
-        q = polar.sample_alcove(scheme.n, rng)
-        closed = polar.measure_factor(scheme).at(q)
-        fd = polar.measure_factor_fd(scheme, q)
-        worst = max_or_nan(worst, abs(closed - fd) / max(1.0, abs(closed)))
-    checks.append(_within("density.measure_factor_fd", worst, 1e-5,
-                          f"{samples} points, h=1e-4"))
+    nus = polar.nu_triple(scheme)
+    q = np.array([polar.sample_alcove(scheme.n, rng) for _ in range(samples)])
+    closed = polar.measure_factor(scheme).at(q)
+    fd = 0.5 * polar.log_laplacian_fd(*nus, q)
+    worst = float(np.max(np.abs(closed - fd) / np.maximum(1.0, np.abs(closed))))
+    checks = [_within("density.measure_factor_fd", worst, 1e-5,
+                      f"{samples} points, h=5e-4")]
 
     basis = polar.build_kperp_basis(scheme)
-    log_ratios = []  # log(density_sqrt^4 / det J); a sign <= 0 makes it NaN
-    for _ in range(samples):
-        q = polar.sample_alcove(scheme.n, rng)
-        sign, logdet = np.linalg.slogdet(polar.inertia_matrix(scheme, basis, q))
-        log_ratios.append(4.0 * np.log(polar.density_sqrt(scheme, q)) - logdet
-                          if sign > 0 else math.nan)
-    spread = float(np.ptp(log_ratios))
-    checks.append(_within("density.fourth_power_tracks_det", spread, 1e-9))
+    q = np.array([polar.sample_alcove(scheme.n, rng) for _ in range(samples)])
+    sign, logdet = np.array([np.linalg.slogdet(polar.inertia_matrix(scheme, basis, x))
+                             for x in q]).T  # one J at a time: each is dim^2 floats
+    # log(rho^4 / det J) at the scheme's exponents; a sign <= 0 makes it NaN
+    log_ratios = np.where(sign > 0, 4.0 * polar.log_density(*nus, q) - logdet, math.nan)
+    checks.append(_within("density.fourth_power_tracks_det", float(np.ptp(log_ratios)), 1e-9))
 
     worst = 0.0
     for _ in range(5):
-        nus = rng.uniform(0.3, 2.0, size=3)
+        exps = rng.uniform(0.3, 2.0, size=3)
         q = polar.sample_alcove(scheme.n, rng)
-        _, _, rel = polar.sutherland_identity(*nus, q)
-        worst = max_or_nan(worst, rel)
+        lhs = polar.log_laplacian_fd(*exps, q)
+        rhs = polar.sutherland_rhs(*exps, scheme.n).at(q)
+        worst = max_or_nan(worst, float(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))))
     checks.append(_within("density.log_laplacian_identity", worst, 1e-4,
                           "5 random exponent triples"))
     return checks

@@ -28,6 +28,8 @@ def fock_states(modes: int, level: int) -> list[tuple[int, ...]]:
         raise ValueError("need at least one mode")
     if level < 0:
         raise ValueError("level must be non-negative")
+    if modes == 1:  # combinations would first list range(level)
+        return [(level,)]
     out = []
     for bars in combinations(range(level + modes - 1), modes - 1):
         edges = (-1,) + bars + (level + modes - 1,)

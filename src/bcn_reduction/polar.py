@@ -1,4 +1,4 @@
-"""Orbit-direction basis, inertia operator, and radial density.
+"""Orbit-direction basis, inertia operator, and radial density in log space.
 
 For a scheme (m, n, r, s) the centralizer of the radial torus inside the
 two-sided symmetry group has Lie algebra of dimension n + (r-n)^2 + (s-n)^2
@@ -6,9 +6,12 @@ two-sided symmetry group has Lie algebra of dimension n + (r-n)^2 + (s-n)^2
 operator J(q), whose eigenvalues produce the trigonometric potentials.  This
 module constructs an explicit labeled orthonormal basis that diagonalizes
 J(q) at every interior alcove point, evaluates J both from its definition
-and from the closed-form eigenvalues, and provides the orbit-volume density
-together with the "measure factor" (the radial Laplacian of the square-root
-density divided by it).
+and from the closed-form eigenvalues, and provides the log of the product
+density (at `nu_triple(scheme)`, the square root of the orbit volume), the
+closed form `sutherland_rhs` of its Laplacian over itself, the "measure
+factor" (half of that at the scheme's exponents), and one finite-difference
+oracle for both, `log_laplacian_fd`, which works on log rho so that it
+stays in double range at every rank.
 
 Basis ordering is a public contract:
 
@@ -304,34 +307,28 @@ def nu_triple(scheme: Scheme) -> tuple[float, float, float]:
 
 
 def _check_alcove(q: np.ndarray) -> None:
-    if not (q[0] > 0.0 and q[-1] < math.pi / 2 and np.all(np.diff(q) > 0)):
+    if not (np.all(q[..., 0] > 0.0) and np.all(q[..., -1] < math.pi / 2)
+            and np.all(np.diff(q, axis=-1) > 0)):
         raise AlcoveError(f"angles {q.tolist()} are not interior alcove points")
 
 
-def radial_density(nu: float, nu1: float, nu2: float, pt) -> float:
-    """Product-form density with exponents (nu, nu1, nu2).
+def log_density(nu: float, nu1: float, nu2: float, pt) -> np.ndarray:
+    """Log of the product-form density with exponents (nu, nu1, nu2), at q
+    of shape (..., n): one value per point.
 
     Pair factors sin(q_l - q_k) sin(q_k + q_l) over k < l enter with power
     nu, the single-angle factors sin(q_j) with power nu1 and sin(2 q_j) with
     power nu2.  All bases are positive on the open alcove; evaluation
-    elsewhere raises AlcoveError.
+    elsewhere raises AlcoveError.  At nu_triple(scheme) the density is the
+    square root of the orbit volume, normalized to the product form; its
+    fourth power is proportional to det J with a q-independent ratio.  The
+    density itself leaves double range at large n; its log does not.
     """
     q = np.asarray(pt, dtype=float)
     _check_alcove(q)
     diff, tot = _angle_pairs(q)
-    return np.prod((np.sin(diff) * np.sin(tot)) ** nu, axis=-1) * np.prod(
-        np.sin(q) ** nu1 * np.sin(2.0 * q) ** nu2, axis=-1)
-
-
-def density_sqrt(scheme: Scheme, pt) -> float:
-    """Square root of the orbit-volume density, normalized to the product form.
-
-    The orbit volume itself is only defined up to a point-independent
-    constant; this function fixes that constant by returning exactly the
-    product `radial_density(*nu_triple(scheme), pt)`.  The fourth power is
-    proportional to det J with a q-independent ratio.
-    """
-    return radial_density(*nu_triple(scheme), pt)
+    return (nu * np.sum(np.log(np.sin(diff) * np.sin(tot)), axis=-1)
+            + np.sum(nu1 * np.log(np.sin(q)) + nu2 * np.log(np.sin(2.0 * q)), axis=-1))
 
 
 def measure_factor(scheme: Scheme) -> RootSeries:
@@ -346,41 +343,38 @@ def measure_factor(scheme: Scheme) -> RootSeries:
     return RootSeries(full.pair / 2, full.csc2 / 2, full.sec2 / 2, full.const / 2)
 
 
-def interior_margin(q: np.ndarray) -> float:
-    """Distance of q from the alcove walls (the two ends and all gaps)."""
+def interior_margin(q) -> np.ndarray:
+    """Distance of q, shape (..., n), from the alcove walls (the two ends
+    and all gaps): one value per point."""
     q = np.asarray(q, dtype=float)
-    gaps = [q[0], math.pi / 2 - q[-1]]
-    if len(q) > 1:
-        gaps.append(float(np.min(np.diff(q))))
-    return min(gaps)
+    gaps = np.concatenate([q[..., :1], math.pi / 2 - q[..., -1:], np.diff(q, axis=-1)],
+                          axis=-1)
+    return np.min(gaps, axis=-1)
 
 
-def _fd_radial_sum(func, q: np.ndarray, h: float) -> float:
-    """Sum of central second differences of func over each angle."""
-    center = func(q)
-    acc = 0.0
-    for k in range(len(q)):
-        qp, qm = q.copy(), q.copy()
-        qp[k] += h
-        qm[k] -= h
-        acc += (func(qp) - 2.0 * center + func(qm)) / h**2
-    return acc
+def log_laplacian_fd(nu: float, nu1: float, nu2: float, pt, h: float = 5e-4) -> np.ndarray:
+    """Finite-difference oracle for `sutherland_rhs`: the Laplacian of the
+    product density divided by it, at q of shape (..., n).
 
-
-def measure_factor_fd(scheme: Scheme, pt, h: float = 1e-4) -> float:
-    """Finite-difference oracle for `measure_factor`.
-
-    Applies half the sum of second differences to the square-root density
-    and divides by its value; requires the point to sit at least
-    WALL_MARGIN from every alcove wall so the stencil stays interior.
+    With L = `log_density`, Delta rho / rho = sum_k [d_k^2 L + (d_k L)^2].
+    Central differences of L on the (2n + 1, n) stencil (q, q + h e_k,
+    q - h e_k) at steps h and h/2, Richardson-extrapolated, are fourth order
+    in h.  Requires the point to sit at least WALL_MARGIN from every alcove
+    wall so the stencil stays interior.
     """
     q = np.asarray(pt, dtype=float)
-    if interior_margin(q) < WALL_MARGIN:
+    if np.any(interior_margin(q) < WALL_MARGIN):
         raise AlcoveError(
             f"point within {WALL_MARGIN} of an alcove wall; move inward"
         )
-    f = lambda qq: density_sqrt(scheme, qq)
-    return 0.5 * _fd_radial_sum(f, q, h) / f(q)
+    n = q.shape[-1]
+    steps = np.array([[h], [h / 2]])
+    offsets = steps[..., None] * np.concatenate([np.zeros((1, n)), np.eye(n), -np.eye(n)])
+    logs = log_density(nu, nu1, nu2, q[..., None, None, :] + offsets)
+    center, plus, minus = logs[..., :1], logs[..., 1:n + 1], logs[..., n + 1:]
+    est = np.sum((plus - 2.0 * center + minus) / steps**2
+                 + ((plus - minus) / (2.0 * steps)) ** 2, axis=-1)
+    return (4.0 * est[..., 1] - est[..., 0]) / 3.0
 
 
 def sutherland_rhs(nu: float, nu1: float, nu2: float, n: int) -> RootSeries:
@@ -404,23 +398,6 @@ def sutherland_rhs(nu: float, nu1: float, nu2: float, n: int) -> RootSeries:
     bracket = ss**2 + 2.0 * nu * ss * (n - 1) + (2.0 / 3.0) * nu**2 * (n - 1) * (2 * n - 1)
     return RootSeries(2.0 * nu * (nu - 1.0), nu1 * (ss - 1.0) + nu2 * (nu2 - 1.0),
                       nu2 * (nu2 - 1.0), -n * bracket)
-
-
-def sutherland_identity(
-    nu: float, nu1: float, nu2: float, pt, h: float = 1e-4
-) -> tuple[float, float, float]:
-    """Check the Sutherland-type identity at one point.
-
-    Returns (lhs, rhs, rel_err): lhs is the finite-difference log-Laplacian
-    of the product density, rhs the closed form, and rel_err their relative
-    difference |lhs - rhs| / max(1, |lhs|, |rhs|).
-    """
-    q = np.asarray(pt, dtype=float)
-    f = lambda qq: radial_density(nu, nu1, nu2, qq)
-    lhs = _fd_radial_sum(f, q, h) / f(q)
-    rhs = sutherland_rhs(nu, nu1, nu2, q.shape[-1]).at(q)
-    rel = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-    return lhs, rhs, rel
 
 
 def max_alcove_rank(margin: float = WALL_MARGIN) -> int:
@@ -451,16 +428,14 @@ __all__ = [
     "WALL_MARGIN",
     "build_kperp_basis",
     "build_m_basis",
-    "density_sqrt",
     "inertia_eigenvalues",
     "inertia_matrix",
     "interior_margin",
+    "log_density",
+    "log_laplacian_fd",
     "max_alcove_rank",
     "measure_factor",
-    "measure_factor_fd",
     "nu_triple",
-    "radial_density",
     "sample_alcove",
-    "sutherland_identity",
     "sutherland_rhs",
 ]

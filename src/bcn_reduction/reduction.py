@@ -225,8 +225,11 @@ def rep_space(scheme: Scheme, raw: RawParams) -> FockSpace:
 
 def brute_force_refusal(modes: int, a1: int) -> Optional[str]:
     """Why the brute-force kernels refuse the level-a1 Fock space on `modes`
-    modes (its dimension is above BRUTE_FORCE_DIM_GUARD), or None when they
-    accept it."""
+    modes (its dimension is above BRUTE_FORCE_DIM_GUARD, or a1 + 1, the
+    fock suite's top level, is above the int64 range of
+    `FockSpace.occupations`), or None when they accept it."""
+    if a1 >= 2**63 - 1:  # the int64 maximum
+        return f"level {a1} reaches the int64 limit of the occupations"
     dim = math.comb(a1 + modes - 1, a1)
     if dim > BRUTE_FORCE_DIM_GUARD:
         return f"dimension {dim} above the brute-force guard {BRUTE_FORCE_DIM_GUARD}"

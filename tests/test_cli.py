@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -93,11 +94,40 @@ class TestExitCodes:
              "--kl1", "1", "--kl2", "0", "--kr1", "0", "--tol", "nan"],
             ["verify", "reduction", "--case", "I", "--n", "1", "--gamma", "1",
              "--kl1", "1", "--kl2", "0", "--kr1", "0", "--tol", "-1"],
+            # one state, but the occupations leave int64
+            ["verify", "fock", "--modes", "1", "--level", str(10**20)],
         ],
     )
     def test_out_of_range_input_is_two(self, argv, capsys):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--case", "I", "--n", "1", "--json"],
+            ["enumerate", "--case", "I", "--n", "1", "--csv"],
+            ["verify", "density", "--case", "I", "--n", "1", "--samples", "2", "--json"],
+        ],
+    )
+    def test_unwritable_report_is_two(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        assert cli.main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the report") and err.count("\n") == 1
+        assert not path.parent.exists()
+
+    def test_huge_level_on_one_mode_skips(self, tmp_path):
+        # case I at n = 1 has one mode, so the space has one state at any level
+        out = tmp_path / "r.json"
+        argv = ["verify", "all", "--case", "I", "--n", "1", "--gamma", str(10**20),
+                "--kl1", "0", "--kl2", "0", "--kr1", "0", "--level", str(10**20),
+                "--samples", "2", "--json", str(out)]
+        assert cli.main(argv) == 0
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        for name in ("reduction.admissible", "fock"):
+            assert checks[name]["status"] == "skip" and "int64" in checks[name]["detail"]
+        assert checks["reduction.identity_residual"]["status"] == "pass"
 
     def test_above_guard_skips_brute_force(self, tmp_path, capsys):
         # representation dimension C(61, 7), above the brute-force guard: the
@@ -494,14 +524,22 @@ class TestFockSuite:
 
 class TestNonFinite:
     def test_nan_fails_suite_check(self, monkeypatch):
-        # the NaN arrives after a finite value, where the builtin max drops it
-        offsets = iter([0.0, math.nan, 0.0])
-        fd = polar.measure_factor_fd
-        monkeypatch.setattr(polar, "measure_factor_fd",
-                            lambda scheme, q: fd(scheme, q) + next(offsets))
+        # one offset per point: 3 for the measure factor, then 5 for the
+        # identity; each NaN arrives after a finite value, where the builtin
+        # max drops it
+        offsets = iter([0.0, math.nan, 0.0] + [0.0, math.nan, 0.0, 0.0, 0.0])
+        fd = polar.log_laplacian_fd
+
+        def with_offsets(*args):
+            value = fd(*args)
+            return value + np.reshape([next(offsets) for _ in range(np.size(value))],
+                                      np.shape(value))
+
+        monkeypatch.setattr(polar, "log_laplacian_fd", with_offsets)
         checks = cli.suite_density(scheme_for("I", 1), np.random.default_rng(0), 3)
-        check = next(c for c in checks if c.name == "density.measure_factor_fd")
-        assert check.status == "fail" and math.isnan(check.max_abs_err)
+        for name in ("density.measure_factor_fd", "density.log_laplacian_identity"):
+            check = next(c for c in checks if c.name == name)
+            assert check.status == "fail" and math.isnan(check.max_abs_err)
 
 
 class TestLogDeterminant:
@@ -600,8 +638,26 @@ class TestNegativeControls:
         assert self.status(checks, "inertia.determinant_vs_eigenvalues") == "fail"
 
     def test_fourth_power_tracks_det(self, monkeypatch):
-        density = polar.density_sqrt
-        monkeypatch.setattr(polar, "density_sqrt",
-                            lambda scheme, q: density(scheme, q) * (1.0 + 0.1 * q[0]))
+        log_density = polar.log_density
+        monkeypatch.setattr(polar, "log_density", lambda nu, nu1, nu2, q: log_density(
+            nu, nu1, nu2, q) + np.log1p(0.1 * np.asarray(q)[..., 0]))
         checks = cli.suite_density(self.SCHEME, np.random.default_rng(0), 3)
         assert self.status(checks, "density.fourth_power_tracks_det") == "fail"
+
+    @staticmethod
+    def shifted(series, shift):
+        return lambda *args: replace(series(*args), const=series(*args).const + shift)
+
+    def test_measure_factor_fd_check(self, monkeypatch):
+        # a constant 1e-3 off the closed form, 100 times the tolerance
+        monkeypatch.setattr(polar, "measure_factor", self.shifted(polar.measure_factor, 1e-3))
+        checks = cli.suite_density(self.SCHEME, np.random.default_rng(0), 3)
+        assert self.status(checks, "density.measure_factor_fd") == "fail"
+        assert self.status(checks, "density.log_laplacian_identity") == "pass"
+
+    def test_log_laplacian_identity(self, monkeypatch):
+        # a constant 1e-2 off the closed form, 100 times the tolerance for
+        # values up to 1
+        monkeypatch.setattr(polar, "sutherland_rhs", self.shifted(polar.sutherland_rhs, 1e-2))
+        checks = cli.suite_density(self.SCHEME, np.random.default_rng(0), 3)
+        assert self.status(checks, "density.log_laplacian_identity") == "fail"

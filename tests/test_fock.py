@@ -26,6 +26,7 @@ class TestStates:
 
     def test_single_mode(self):
         assert fock_states(1, 5) == [(5,)]
+        assert fock_states(1, 10**18) == [(10**18,)]  # no range(level) is listed
 
 
 class TestLadderOperators:

@@ -16,19 +16,31 @@ from bcn_reduction.polar import (
     SQ2,
     build_kperp_basis,
     build_m_basis,
-    density_sqrt,
     inertia_eigenvalues,
     inertia_matrix,
     interior_margin,
+    log_density,
+    log_laplacian_fd,
     measure_factor,
-    measure_factor_fd,
     nu_triple,
     sample_alcove,
-    sutherland_identity,
-    _fd_radial_sum,
+    sutherland_rhs,
 )
 
 ALL_SCHEMES = [Scheme.of_case(c, n) for c in ("I", "II", "III") for n in (1, 2, 3)]
+
+
+def measure_factor_oracle(scheme, q, **kw):
+    """The measure factor by finite differences: half the log-Laplacian
+    oracle at the scheme's density exponents."""
+    return 0.5 * log_laplacian_fd(*nu_triple(scheme), q, **kw)
+
+
+def identity_rel_err(nus, q):
+    """(lhs, rhs, rel_err) of the Sutherland-type identity at one point."""
+    lhs = log_laplacian_fd(*nus, q)
+    rhs = sutherland_rhs(*nus, len(q)).at(q)
+    return lhs, rhs, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
 class TestMBasis:
@@ -262,39 +274,55 @@ class TestDensity:
     def test_case1_n1_closed_form(self):
         s = Scheme.of_case("I", 1)
         for q in (0.3, 0.7, math.pi / 4):
-            assert density_sqrt(s, [q]) == pytest.approx(
-                math.sqrt(math.sin(2 * q)), rel=1e-14
+            assert log_density(*nu_triple(s), [q]) == pytest.approx(
+                0.5 * math.log(math.sin(2 * q)), abs=1e-15
             )
-        assert density_sqrt(s, [math.pi / 4]) == pytest.approx(1.0, rel=1e-14)
+        assert log_density(*nu_triple(s), [math.pi / 4]) == 0.0
 
     def test_case2_n1_closed_form(self):
         s = Scheme.of_case("II", 1)
         for q in (0.3, 1.1):
-            want = math.sin(q) * math.sqrt(math.sin(2 * q))
-            assert density_sqrt(s, [q]) == pytest.approx(want, rel=1e-14)
+            want = math.log(math.sin(q)) + 0.5 * math.log(math.sin(2 * q))
+            assert log_density(*nu_triple(s), [q]) == pytest.approx(want, abs=1e-15)
+
+    def test_leading_axes(self):
+        q = np.array([[[0.2, 0.9, 1.3]], [[0.4, 0.5, 1.5]]])
+        got = log_density(0.7, 1.1, 0.4, q)
+        assert got.shape == (2, 1)
+        for i in range(2):
+            assert got[i, 0] == log_density(0.7, 1.1, 0.4, q[i, 0])
+
+    def test_large_rank_matches_high_precision(self):
+        # the density itself is about 1e-505 here, below double range
+        n = 30
+        q = 0.051 + np.arange(n) * (math.pi / 2 - 0.102) / (n - 1)
+        got = log_density(2.0, 2.0, 2.0, q)
+        x = [mpmath.mpf(float(v)) for v in q]
+        rho = mpmath.fprod(
+            [(mpmath.sin(x[l] - x[k]) * mpmath.sin(x[k] + x[l])) ** 2
+             for k in range(n) for l in range(k + 1, n)]
+            + [(mpmath.sin(v) * mpmath.sin(2 * v)) ** 2 for v in x])
+        assert math.exp(got) == 0.0
+        assert got == pytest.approx(float(mpmath.log(rho)), rel=1e-13)
 
     def test_fourth_power_tracks_inertia_determinant(self):
         rng = np.random.default_rng(7)
         for s in ALL_SCHEMES[:6]:
             basis = build_kperp_basis(s)
-            ratios = []
+            log_ratios = []
             for _ in range(10):
                 q = sample_alcove(s.n, rng)
-                det = np.linalg.det(inertia_matrix(s, basis, q))
-                ratios.append(density_sqrt(s, q) ** 4 / det)
-            spread = (max(ratios) - min(ratios)) / abs(np.mean(ratios))
-            assert spread <= 1e-9
+                sign, logdet = np.linalg.slogdet(inertia_matrix(s, basis, q))
+                assert sign > 0
+                log_ratios.append(4.0 * log_density(*nu_triple(s), q) - logdet)
+            assert np.ptp(log_ratios) <= 1e-9
 
     def test_wall_rejection(self):
-        s = Scheme.of_case("I", 2)
-        with pytest.raises(AlcoveError):
-            density_sqrt(s, [0.5, 0.5])
-        with pytest.raises(AlcoveError):
-            density_sqrt(s, [0.0, 0.5])
-        with pytest.raises(AlcoveError):
-            density_sqrt(s, [0.6, 0.4])
-        with pytest.raises(AlcoveError):
-            density_sqrt(s, [0.3, math.pi / 2])
+        nus = nu_triple(Scheme.of_case("I", 2))
+        for q in ([0.5, 0.5], [0.0, 0.5], [0.6, 0.4], [0.3, math.pi / 2],
+                  [[0.3, 0.5], [0.6, 0.4]]):  # one bad point in a batch
+            with pytest.raises(AlcoveError):
+                log_density(*nus, q)
 
 
 class TestMeasureFactor:
@@ -314,8 +342,7 @@ class TestMeasureFactor:
         s = Scheme.of_case("I", 2)
         q = np.array([0.4, 1.0])
         closed = measure_factor(s).at(q)
-        fd = measure_factor_fd(s, q)
-        assert abs(closed - fd) / abs(closed) <= 1e-5
+        assert abs(closed - measure_factor_oracle(s, q)) / abs(closed) <= 1e-8
 
     def test_fd_oracle_all_schemes(self):
         rng = np.random.default_rng(8)
@@ -323,40 +350,41 @@ class TestMeasureFactor:
             for _ in range(3):
                 q = sample_alcove(s.n, rng)
                 closed = measure_factor(s).at(q)
-                fd = measure_factor_fd(s, q)
+                fd = measure_factor_oracle(s, q)
                 assert abs(closed - fd) / max(1, abs(closed)) <= 1e-5
 
-    def test_fd_second_order_convergence(self):
+    def test_fd_oracle_leading_axes(self):
+        rng = np.random.default_rng(15)
+        s = Scheme.of_case("III", 3)
+        q = np.array([sample_alcove(3, rng) for _ in range(4)])
+        batch = measure_factor_oracle(s, q)
+        assert batch.shape == (4,)
+        for point, value in zip(q, batch):
+            assert value == pytest.approx(measure_factor_oracle(s, point), rel=1e-12)
+
+    def test_fd_fourth_order_convergence(self):
+        # Richardson over h and h/2 cancels the h^2 term: halving h divides
+        # the error by about 2^4
         s = Scheme.of_case("II", 2)
         q = np.array([0.5, 1.0])
         closed = measure_factor(s).at(q)
-        e1 = abs(measure_factor_fd(s, q, h=2e-2) - closed)
-        e2 = abs(measure_factor_fd(s, q, h=1e-2) - closed)
-        assert 2.5 <= e1 / e2 <= 6.0
-
-    def test_constant_rescaling_invariance(self):
-        # power-of-two factor scales every intermediate exactly, so the
-        # ratio comes out bit-identical
-        s = Scheme.of_case("III", 1)
-        q = np.array([0.8])
-        h = 1e-4
-        f = lambda qq: density_sqrt(s, qq)
-        g = lambda qq: 4.0 * density_sqrt(s, qq)
-        base = 0.5 * _fd_radial_sum(f, q, h) / f(q)
-        scaled = 0.5 * _fd_radial_sum(g, q, h) / g(q)
-        assert base == scaled
+        e1 = abs(measure_factor_oracle(s, q, h=2e-2) - closed)
+        e2 = abs(measure_factor_oracle(s, q, h=1e-2) - closed)
+        assert 12.0 <= e1 / e2 <= 20.0
 
     def test_wall_guard(self):
-        s = Scheme.of_case("I", 2)
+        nus = nu_triple(Scheme.of_case("I", 2))
         with pytest.raises(AlcoveError):
-            measure_factor_fd(s, [0.01, 0.8])
+            log_laplacian_fd(*nus, [0.01, 0.8])
         with pytest.raises(AlcoveError):
-            measure_factor_fd(s, [0.5, 0.52])
+            log_laplacian_fd(*nus, [0.5, 0.52])
+        with pytest.raises(AlcoveError):
+            log_laplacian_fd(*nus, [[0.3, 0.8], [0.5, 0.52]])
 
 
 class TestSutherlandIdentity:
     def test_case1_exponents_at_worked_point(self):
-        lhs, rhs, rel = sutherland_identity(1.0, 0.0, 0.5, [0.6])
+        lhs, rhs, rel = identity_rel_err((1.0, 0.0, 0.5), np.array([0.6]))
         assert rel <= 1e-5
         # halving gives the measure factor of the matching scheme
         s = Scheme.of_case("I", 1)
@@ -365,7 +393,7 @@ class TestSutherlandIdentity:
         assert 0.5 * rhs == pytest.approx(want, rel=1e-12)
 
     def test_zero_exponents(self):
-        lhs, rhs, rel = sutherland_identity(0.0, 0.0, 0.0, [0.4, 0.9])
+        lhs, rhs, rel = identity_rel_err((0.0, 0.0, 0.0), np.array([0.4, 0.9]))
         assert lhs == 0.0 and rhs == 0.0
 
     def test_random_exponents(self):
@@ -374,8 +402,15 @@ class TestSutherlandIdentity:
             for _ in range(10):
                 nus = rng.uniform(0.3, 2.0, 3)
                 q = sample_alcove(n, rng)
-                _, _, rel = sutherland_identity(*nus, q)
+                _, _, rel = identity_rel_err(nus, q)
                 assert rel <= 1e-4
+
+    @pytest.mark.parametrize("n", [24, 30])
+    def test_large_rank_evenly_spaced(self, n):
+        # the product density is subnormal or zero here; its log is not
+        q = 0.051 + np.arange(n) * (math.pi / 2 - 0.102) / (n - 1)
+        _, _, rel = identity_rel_err((2.0, 2.0, 2.0), q)
+        assert rel <= 1e-4
 
     def test_scheme_exponents_match_measure_factor(self):
         # the paper's closed form of the measure factor, spelled out here so
@@ -411,7 +446,7 @@ class TestGenericSchemes:
         for s in self.GENERIC:
             q = sample_alcove(s.n, rng)
             closed = measure_factor(s).at(q)
-            assert abs(closed - measure_factor_fd(s, q)) / max(1, abs(closed)) <= 1e-5
+            assert abs(closed - measure_factor_oracle(s, q)) / max(1, abs(closed)) <= 1e-5
 
 
 class TestSampling:

@@ -327,6 +327,18 @@ class TestKernelComputation:
         with pytest.raises(ValueError):
             vk_bruteforce(scheme, RawParams("III", 4000, 0, 0, 0, 0))
 
+    def test_level_guard_on_one_mode(self):
+        # one mode gives a one-state space at any level; a level whose
+        # successor leaves int64 is still refused
+        top = int(np.iinfo(np.int64).max)
+        assert reduction.brute_force_refusal(1, top - 1) is None
+        assert "int64" in reduction.brute_force_refusal(1, top)
+        assert "int64" in reduction.brute_force_refusal(1, 10**20)
+        scheme = scheme_for("I", 1)
+        assert scheme.m == 1
+        with pytest.raises(ValueError, match="int64"):
+            vk_bruteforce(scheme, RawParams("I", 10**20, 0, 0, 0, 0))
+
     @given(
         case=st.sampled_from(["I", "II", "III"]),
         n=st.integers(1, 2),
